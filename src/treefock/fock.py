@@ -75,6 +75,9 @@ class FockVector:
         return self + (-1) * other
 
     def __rmul__(self, scalar: Scalar) -> "FockVector":
+        if (isinstance(scalar, (float, complex)) and self.terms
+                and self.backend() == EXACT):
+            raise TypeError("float scalar times an exact vector")
         return FockVector(self.level,
                           {w: scalar * c for w, c in self.terms.items()},
                           max_degree=MAX_WORD_LENGTH)
@@ -102,6 +105,8 @@ def inner(u: FockVector, v: FockVector) -> Scalar:
     """<u, v>, linear in u and conjugate-linear in v."""
     if u.level != v.level:
         raise ValueError("inner product needs equal levels")
+    if u.terms and v.terms and u.backend() != v.backend():
+        raise TypeError("inner product of an exact and a float vector")
     small, big = (u.terms, v.terms) if len(u.terms) <= len(v.terms) else (v.terms, u.terms)
     acc: Scalar = 0
     for w, c in small.items():
@@ -180,6 +185,8 @@ def act(g: TorusStep, v: FockVector) -> FockVector:
     """The unitary action of a torus step on a vector at level >= g.level."""
     if g.level > v.level:
         raise ValueError("step is finer than the vector's level")
+    if v.terms and g.backend != v.backend():
+        raise TypeError(f"{g.backend} step cannot act on a {v.backend()} vector")
     return FockVector(v.level,
                       {w: phase_of(g, w) * c for w, c in v.terms.items()},
                       max_degree=MAX_WORD_LENGTH)

@@ -2,17 +2,27 @@
 
 Every coefficient produced by the level embeddings is a dyadic rational times
 a power of 1/sqrt2, and every torus phase used in exact verification is an
-8th root of unity.  Both live in Q(sqrt2, i).  An element is stored as
-(a + b*sqrt2) + (c + d*sqrt2)*i with arbitrary-precision Fraction components,
-so ring operations, conjugation, inversion and squared modulus are all exact.
+8th root of unity.  Both live in Q(sqrt2, i).  An element is one
+`ExactComplex` holding five Python ints ``(a, b, c, d, den)`` and standing
+for ``(a + b*sqrt2 + (c + d*sqrt2)*i) / den``: one common denominator over
+integer coordinates, the form number-field libraries such as FLINT's
+``nf_elem`` use.  Every instance is kept in normal form, ``den > 0`` and
+``gcd(a, b, c, d, den) == 1``, so equal values have equal fields and
+equality and hashing compare ints.  Ring operations, conjugation, inversion
+and squared modulus are all exact.  `QSqrt2(a, b)` builds the real element
+a + b*sqrt2 from rational a, b; `QSqrt2` is the subclass of `ExactComplex`
+for the real subfield, ``c == d == 0``.
 
 The float backend uses the builtin ``complex``; the module-level helpers
 (`one`, `sqrt2_pow`, `eighth_root`, ...) dispatch on a backend name.  Exact
-and float scalars are deliberately not inter-operable: mixing them raises
-TypeError instead of silently degrading precision.  Plain ``int`` and
-``Fraction`` values coerce into either backend, which lets vectors keep
-rational coefficients in their cheapest form until an irrational scalar
-actually enters.
+and float scalars are deliberately not inter-operable: an `ExactComplex`
+mixed with a ``float`` or ``complex`` raises TypeError instead of silently
+degrading precision.  Plain ``int`` and ``Fraction`` values coerce into
+either backend, which lets vectors keep rational coefficients in their
+cheapest form until an irrational scalar actually enters; `one` and `zero`
+return plain ints on the exact backend for that reason.  A rational counts
+as exact (`backend_of`), so the layers that combine two operands of stated
+backends, such as ``fock.act`` and ``fock.inner``, check that they match.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -28,213 +38,205 @@ BACKENDS = (EXACT, FLOAT)
 
 RationalLike = Union[int, Fraction]
 
-_HALF = Fraction(1, 2)
+_gcd = math.gcd
+_new = object.__new__
+_SQRT2 = math.sqrt(2.0)
 
 
-class QSqrt2:
-    """A real number a + b*sqrt2 with rational a, b."""
+def _make(a: int, b: int, c: int, d: int, den: int) -> "ExactComplex":
+    """An ExactComplex from fields already in normal form."""
+    x = _new(ExactComplex)
+    x.a = a
+    x.b = b
+    x.c = c
+    x.d = d
+    x.den = den
+    return x
 
-    __slots__ = ("a", "b")
 
-    def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
-        self.a = a if isinstance(a, Fraction) else Fraction(a)
-        self.b = b if isinstance(b, Fraction) else Fraction(b)
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> "ExactComplex":
+    """(a + b*sqrt2 + (c + d*sqrt2)*i)/den in normal form, for den > 0."""
+    g = _gcd(a, b, c, d, den)
+    if g != 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    return _make(a, b, c, d, den)
 
-    @staticmethod
-    def _coerce(value: object) -> Optional["QSqrt2"]:
-        if isinstance(value, QSqrt2):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QSqrt2(value)
-        return None
 
-    def __add__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt2(self.a + o.a, self.b + o.b)
+def _real_fields(x: object) -> Tuple[int, int, int]:
+    """(a, b, den) with x == (a + b*sqrt2)/den, for a rational or real element."""
+    if isinstance(x, ExactComplex):
+        if x.c or x.d:
+            raise TypeError(f"{x} is not real")
+        return x.a, x.b, x.den
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return q.numerator, 0, q.denominator
 
-    __radd__ = __add__
 
-    def __sub__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt2(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt2(o.a - self.a, o.b - self.b)
-
-    def __neg__(self) -> "QSqrt2":
-        return QSqrt2(-self.a, -self.b)
-
-    def __mul__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QSqrt2":
-        # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2); the denominator only
-        # vanishes at zero because sqrt2 is irrational.
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in QSqrt2")
-        return QSqrt2(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exponent: int) -> "QSqrt2":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = QSqrt2(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def conjugate(self) -> "QSqrt2":
-        # Complex conjugation; the value is real.
-        return self
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(2.0)
-
-    def __complex__(self) -> complex:
-        return complex(float(self))
-
-    def __repr__(self) -> str:
-        return f"QSqrt2({self.a!r}, {self.b!r})"
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt2"
-        return f"{self.a} + {self.b}*sqrt2"
+def _fraction_str(a: int, b: int, den: int) -> str:
+    """How a + b*sqrt2 over den prints, with each coefficient a reduced Fraction."""
+    x, y = Fraction(a, den), Fraction(b, den)
+    if y == 0:
+        return str(x)
+    if x == 0:
+        return f"{y}*sqrt2"
+    return f"{x} + {y}*sqrt2"
 
 
 class ExactComplex:
-    """An element (a + b*sqrt2) + (c + d*sqrt2)*i of Q(sqrt2, i)."""
+    """An element (a + b*sqrt2 + (c + d*sqrt2)*i)/den of Q(sqrt2, i).
 
-    __slots__ = ("re", "im")
+    ``ExactComplex(re, im)`` builds re + im*i from real parts that are ints,
+    Fractions or real ExactComplex values (such as `QSqrt2` results).
+    Instances are immutable and always in normal form: ``den > 0`` and
+    ``gcd(a, b, c, d, den) == 1``.
+    """
 
-    def __init__(self, re: Union[RationalLike, QSqrt2] = 0,
-                 im: Union[RationalLike, QSqrt2] = 0) -> None:
-        self.re = re if isinstance(re, QSqrt2) else QSqrt2(re)
-        self.im = im if isinstance(im, QSqrt2) else QSqrt2(im)
+    __slots__ = ("a", "b", "c", "d", "den")
+
+    def __init__(self, re: object = 0, im: object = 0) -> None:
+        ra, rb, rn = _real_fields(re)
+        ia, ib, inn = _real_fields(im)
+        x = _reduced(ra * inn, rb * inn, ia * rn, ib * rn, rn * inn)
+        self.a, self.b, self.c, self.d, self.den = x.a, x.b, x.c, x.d, x.den
 
     @classmethod
     def zero(cls) -> "ExactComplex":
-        return cls(0, 0)
+        return _make(0, 0, 0, 0, 1)
 
     @classmethod
     def one(cls) -> "ExactComplex":
-        return cls(1, 0)
+        return _make(1, 0, 0, 0, 1)
 
     @classmethod
     def i(cls) -> "ExactComplex":
-        return cls(0, 1)
+        return _make(0, 0, 1, 0, 1)
+
+    def __add__(self, other: object) -> "ExactComplex":
+        n1 = self.den
+        if isinstance(other, ExactComplex):
+            n2 = other.den
+            if n1 == n2:
+                return _reduced(self.a + other.a, self.b + other.b,
+                                self.c + other.c, self.d + other.d, n1)
+            return _reduced(self.a * n2 + other.a * n1, self.b * n2 + other.b * n1,
+                            self.c * n2 + other.c * n1, self.d * n2 + other.d * n1,
+                            n1 * n2)
+        if isinstance(other, int):
+            # gcd(a + k*den, b, c, d, den) == gcd(a, b, c, d, den) == 1
+            return _make(self.a + other * n1, self.b, self.c, self.d, n1)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _reduced(self.a * q + p * n1, self.b * q, self.c * q, self.d * q,
+                            n1 * q)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "ExactComplex":
+        n1 = self.den
+        if isinstance(other, ExactComplex):
+            n2 = other.den
+            if n1 == n2:
+                return _reduced(self.a - other.a, self.b - other.b,
+                                self.c - other.c, self.d - other.d, n1)
+            return _reduced(self.a * n2 - other.a * n1, self.b * n2 - other.b * n1,
+                            self.c * n2 - other.c * n1, self.d * n2 - other.d * n1,
+                            n1 * n2)
+        if isinstance(other, int):
+            return _make(self.a - other * n1, self.b, self.c, self.d, n1)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _reduced(self.a * q - p * n1, self.b * q, self.c * q, self.d * q,
+                            n1 * q)
+        return NotImplemented
+
+    def __rsub__(self, other: object) -> "ExactComplex":
+        n1 = self.den
+        if isinstance(other, int):
+            return _make(other * n1 - self.a, -self.b, -self.c, -self.d, n1)
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _reduced(p * n1 - self.a * q, -self.b * q, -self.c * q, -self.d * q,
+                            n1 * q)
+        return NotImplemented
+
+    def __neg__(self) -> "ExactComplex":
+        return _make(-self.a, -self.b, -self.c, -self.d, self.den)
+
+    def __mul__(self, other: object) -> "ExactComplex":
+        if isinstance(other, ExactComplex):
+            a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+            a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+            # Real parts times real parts; the imaginary products only when
+            # a factor has them.
+            a = a1 * a2 + 2 * b1 * b2
+            b = a1 * b2 + b1 * a2
+            if c1 or d1:
+                c = c1 * a2 + 2 * d1 * b2
+                d = c1 * b2 + d1 * a2
+                if c2 or d2:
+                    a -= c1 * c2 + 2 * d1 * d2
+                    b -= c1 * d2 + d1 * c2
+                    c += a1 * c2 + 2 * b1 * d2
+                    d += a1 * d2 + b1 * c2
+            elif c2 or d2:
+                c = a1 * c2 + 2 * b1 * d2
+                d = a1 * d2 + b1 * c2
+            else:
+                c = d = 0
+            den = self.den * other.den
+            if den == 1:
+                return _make(a, b, c, d, 1)
+            return _reduced(a, b, c, d, den)
+        if isinstance(other, int):
+            return _reduced(self.a * other, self.b * other, self.c * other,
+                            self.d * other, self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _reduced(self.a * p, self.b * p, self.c * p, self.d * p,
+                            self.den * other.denominator)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "ExactComplex":
+        if not (self.c or self.d):
+            return self
+        return _make(self.a, self.b, -self.c, -self.d, self.den)
+
+    def _abs2_fields(self) -> Tuple[int, int]:
+        """(p, q) with den**2 * |self|**2 == p + q*sqrt2."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return a * a + 2 * b * b + c * c + 2 * d * d, 2 * (a * b + c * d)
+
+    def abs2(self) -> "ExactComplex":
+        """Squared modulus, an exact real element of Q(sqrt2)."""
+        p, q = self._abs2_fields()
+        return _reduced(p, q, 0, 0, self.den * self.den)
+
+    def inverse(self) -> "ExactComplex":
+        # 1/x = den * conj(x') / |x'|^2 for the numerator x' = den * x, and
+        # 1/(p + q*sqrt2) = (p - q*sqrt2)/(p^2 - 2 q^2).  p^2 - 2q^2 is
+        # |x'|^2 = p + q*sqrt2 times its Galois conjugate
+        # p - q*sqrt2 = (a - b*sqrt2)^2 + (c - d*sqrt2)^2, so it is positive
+        # unless x is zero.
+        if not self:
+            raise ZeroDivisionError("division by zero in ExactComplex")
+        a, b, c, d, den = self.a, self.b, self.c, self.d, self.den
+        p, q = self._abs2_fields()
+        return _reduced(den * (a * p - 2 * b * q), den * (b * p - a * q),
+                        den * (2 * d * q - c * p), den * (c * q - d * p),
+                        p * p - 2 * q * q)
 
     @staticmethod
     def _coerce(value: object) -> Optional["ExactComplex"]:
         if isinstance(value, ExactComplex):
             return value
-        if isinstance(value, QSqrt2):
-            return ExactComplex(value)
-        if isinstance(value, (int, Fraction)):
-            return ExactComplex(QSqrt2(value))
+        if isinstance(value, int):
+            return _make(value, 0, 0, 0, 1)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, 0, 0, value.denominator)
         return None
-
-    def __add__(self, other: object) -> "ExactComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "ExactComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: object) -> "ExactComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactComplex(o.re - self.re, o.im - self.im)
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
-
-    def __mul__(self, other: object) -> "ExactComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactComplex(self.re * o.re - self.im * o.im,
-                            self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
-    def abs2(self) -> QSqrt2:
-        """Squared modulus, an exact element of Q(sqrt2)."""
-        return self.re * self.re + self.im * self.im
-
-    def inverse(self) -> "ExactComplex":
-        n = self.abs2()
-        if not n:
-            raise ZeroDivisionError("division by zero in ExactComplex")
-        inv = n.inverse()
-        return ExactComplex(self.re * inv, -self.im * inv)
 
     def __truediv__(self, other: object) -> "ExactComplex":
         o = self._coerce(other)
@@ -253,70 +255,140 @@ class ExactComplex:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ExactComplex.one()
+        result = None
         base = self
         n = exponent
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return _make(1, 0, 0, 0, 1) if result is None else result
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, ExactComplex):
+            return (self.a == other.a and self.b == other.b and self.c == other.c
+                    and self.d == other.d and self.den == other.den)
+        if isinstance(other, int):
+            return (self.den == 1 and self.a == other
+                    and not (self.b or self.c or self.d))
+        if isinstance(other, Fraction):
+            return (self.den == other.denominator and self.a == other.numerator
+                    and not (self.b or self.c or self.d))
+        return NotImplemented
 
     def __hash__(self) -> int:
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re.a, self.re.b, self.im.a, self.im.b))
+        # Rational values hash like the int or Fraction they equal.
+        if self.b or self.c or self.d:
+            return hash((self.a, self.b, self.c, self.d, self.den))
+        if self.den == 1:
+            return hash(self.a)
+        return hash(Fraction(self.a, self.den))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b or self.c or self.d)
+
+    @property
+    def is_rational(self) -> bool:
+        return not (self.b or self.c or self.d)
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational:
+            raise ValueError(f"{self} is not rational")
+        return Fraction(self.a, self.den)
+
+    def __float__(self) -> float:
+        if self.c or self.d:
+            raise TypeError(f"{self} is not real")
+        return self.a / self.den + self.b / self.den * _SQRT2
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        den = self.den
+        return complex(self.a / den + self.b / den * _SQRT2,
+                       self.c / den + self.d / den * _SQRT2)
 
     def __repr__(self) -> str:
-        return f"ExactComplex({self.re!r}, {self.im!r})"
+        den = self.den
+        re = f"QSqrt2({Fraction(self.a, den)!r}, {Fraction(self.b, den)!r})"
+        if not (self.c or self.d):
+            return re
+        return (f"ExactComplex({re}, "
+                f"QSqrt2({Fraction(self.c, den)!r}, {Fraction(self.d, den)!r}))")
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"({self.im})*i"
-        return f"({self.re}) + ({self.im})*i"
+        re = _fraction_str(self.a, self.b, self.den)
+        if not (self.c or self.d):
+            return re
+        im = _fraction_str(self.c, self.d, self.den)
+        if not (self.a or self.b):
+            return f"({im})*i"
+        return f"({re}) + ({im})*i"
+
+
+class QSqrt2(ExactComplex):
+    """A real element a + b*sqrt2 of Q(sqrt2), for rational a and b.
+
+    The real subfield of `ExactComplex`: its instances have ``c == d == 0``.
+    Sums, differences, products, quotients and powers whose operands are all
+    QSqrt2, int or Fraction values are QSqrt2 again, so ``isinstance(x,
+    QSqrt2)`` marks values built in the real subfield.  An operation with any
+    other ExactComplex operand returns a plain ExactComplex, and the
+    package's own arithmetic builds plain ExactComplex values throughout.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
+        p = a if isinstance(a, Fraction) else Fraction(a)
+        q = b if isinstance(b, Fraction) else Fraction(b)
+        pd, qd = p.denominator, q.denominator
+        x = _reduced(p.numerator * qd, q.numerator * pd, 0, 0, pd * qd)
+        self.a, self.b, self.c, self.d, self.den = x.a, x.b, 0, 0, x.den
+
+
+def _real_closed(op):
+    """The ExactComplex method ``op``, returning a QSqrt2 on real operands."""
+
+    def method(self, *other):
+        x = op(self, *other)
+        if x is NotImplemented or (other and not isinstance(other[0], _REAL)):
+            return x
+        y = _new(QSqrt2)
+        y.a, y.b, y.c, y.d, y.den = x.a, x.b, 0, 0, x.den
+        return y
+
+    return method
+
+
+_REAL = (QSqrt2, int, Fraction)
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__neg__", "inverse", "abs2"):
+    setattr(QSqrt2, _name, _real_closed(getattr(ExactComplex, _name)))
 
 
 # The 8th roots of unity: exp(i*pi*k/4) = eighth root at index k.
-_OMEGA = ExactComplex(QSqrt2(0, _HALF), QSqrt2(0, _HALF))
+_OMEGA = _make(0, 1, 0, 1, 2)  # (sqrt2 + sqrt2*i)/2
 EIGHTH_ROOTS = tuple(_OMEGA ** k for k in range(8))
 
-Scalar = Union[int, Fraction, QSqrt2, ExactComplex, float, complex]
+Scalar = Union[int, Fraction, ExactComplex, float, complex]
 
 
 def one(backend: str = EXACT) -> Scalar:
-    return ExactComplex.one() if backend == EXACT else complex(1.0)
+    return 1 if backend == EXACT else complex(1.0)
 
 
 def zero(backend: str = EXACT) -> Scalar:
-    return ExactComplex.zero() if backend == EXACT else complex(0.0)
-
-
-def from_fraction(q: RationalLike, backend: str = EXACT) -> Scalar:
-    return ExactComplex(QSqrt2(q)) if backend == EXACT else complex(q)
+    return 0 if backend == EXACT else complex(0.0)
 
 
 def sqrt2_pow(exponent: int, backend: str = EXACT) -> Scalar:
     """sqrt2**exponent for any integer exponent, exact or float."""
     if backend != EXACT:
         return 2.0 ** (exponent / 2.0)
-    if exponent % 2 == 0:
-        return QSqrt2(Fraction(2) ** (exponent // 2))
-    return QSqrt2(0, Fraction(2) ** ((exponent - 1) // 2))
+    half, odd = divmod(exponent, 2)  # sqrt2**exponent == 2**half * sqrt2**odd
+    num, den = (1 << half, 1) if half >= 0 else (1, 1 << -half)
+    return _make(0, num, 0, 0, den) if odd else _make(num, 0, 0, 0, den)
 
 
 def inv_sqrt2_pow(exponent: int, backend: str = EXACT) -> Scalar:
@@ -371,7 +443,7 @@ def is_unit_modulus(x: Scalar, backend: str, tol: float = 1e-12) -> bool:
     return abs(abs(complex(x)) - 1.0) <= tol
 
 
-def sqrt_in_tower(q: Fraction) -> Optional[QSqrt2]:
+def sqrt_in_tower(q: Fraction) -> Optional[ExactComplex]:
     """The exact square root of a nonnegative rational, if it lies in Q(sqrt2).
 
     sqrt(q) is either rational or a rational multiple of sqrt2 exactly when
@@ -381,17 +453,17 @@ def sqrt_in_tower(q: Fraction) -> Optional[QSqrt2]:
     if q < 0:
         raise ValueError("square root of a negative rational")
     if q == 0:
-        return QSqrt2(0)
+        return _make(0, 0, 0, 0, 1)
     t = q.numerator * q.denominator
     twos = (t & -t).bit_length() - 1
     odd = t >> twos
     root = math.isqrt(odd)
     if root * root != odd:
         return None
-    scaled = Fraction(root << (twos // 2), q.denominator)
+    num = root << (twos // 2)
     if twos % 2 == 0:
-        return QSqrt2(scaled)
-    return QSqrt2(0, scaled)
+        return _reduced(num, 0, 0, 0, q.denominator)
+    return _reduced(0, num, 0, 0, q.denominator)
 
 
 def approx_equal(x: Scalar, y: Scalar, tol: float = 1e-9) -> bool:
@@ -399,13 +471,18 @@ def approx_equal(x: Scalar, y: Scalar, tol: float = 1e-9) -> bool:
 
 
 def to_jsonable(x: Scalar) -> object:
-    """A JSON-friendly rendering of a scalar from either backend."""
+    """A JSON-friendly rendering of a scalar from either backend.
+
+    Exact values, rationals included, render as ``{"re": [a, b], "im": [c,
+    d]}`` with string coordinates of a + b*sqrt2 + (c + d*sqrt2)*i, so one
+    exact-backend object uses one encoding whatever type each value has.
+    """
+    if isinstance(x, (int, Fraction)):
+        x = ExactComplex(x)
     if isinstance(x, ExactComplex):
-        return {"re": [str(x.re.a), str(x.re.b)], "im": [str(x.im.a), str(x.im.b)]}
-    if isinstance(x, QSqrt2):
-        return {"re": [str(x.a), str(x.b)], "im": ["0", "0"]}
-    if isinstance(x, Fraction):
-        return str(x)
+        den = x.den
+        return {"re": [str(Fraction(x.a, den)), str(Fraction(x.b, den))],
+                "im": [str(Fraction(x.c, den)), str(Fraction(x.d, den))]}
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     return x

@@ -259,8 +259,9 @@ class TorusStep:
     """A unit scalar for each word of a fixed length.
 
     ``values`` is indexed by the lexicographic rank of the word.  Exact steps
-    hold ExactComplex values with squared modulus exactly one; float steps
-    hold complex values within 1e-12 of the unit circle.
+    hold exact values (plain ints in the identity, ExactComplex otherwise)
+    with squared modulus exactly one; float steps hold complex values within
+    1e-12 of the unit circle.
     """
 
     level: int

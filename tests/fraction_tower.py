@@ -1,0 +1,313 @@
+"""The Fraction-backed scalar tower, kept as a differential oracle.
+
+Before the integer form in ``treefock.scalars``, Q(sqrt2, i) was built from
+``fractions.Fraction`` components: `QSqrt2` holds a + b*sqrt2 and
+`ExactComplex` holds two of them as real and imaginary parts.  The classes
+below are that implementation, unchanged, together with the
+`sqrt_in_tower` and `to_jsonable` that went with them.  Tests check the
+integer form against them operation by operation.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Optional, Union
+
+RationalLike = Union[int, Fraction]
+
+
+class QSqrt2:
+    """A real number a + b*sqrt2 with rational a, b."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
+        self.a = a if isinstance(a, Fraction) else Fraction(a)
+        self.b = b if isinstance(b, Fraction) else Fraction(b)
+
+    @staticmethod
+    def _coerce(value: object) -> Optional["QSqrt2"]:
+        if isinstance(value, QSqrt2):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return QSqrt2(value)
+        return None
+
+    def __add__(self, other: object) -> "QSqrt2":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QSqrt2(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "QSqrt2":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QSqrt2(self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, other: object) -> "QSqrt2":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QSqrt2(o.a - self.a, o.b - self.b)
+
+    def __neg__(self) -> "QSqrt2":
+        return QSqrt2(-self.a, -self.b)
+
+    def __mul__(self, other: object) -> "QSqrt2":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QSqrt2":
+        # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2); the denominator only
+        # vanishes at zero because sqrt2 is irrational.
+        norm = self.a * self.a - 2 * self.b * self.b
+        if norm == 0:
+            raise ZeroDivisionError("division by zero in QSqrt2")
+        return QSqrt2(self.a / norm, -self.b / norm)
+
+    def __truediv__(self, other: object) -> "QSqrt2":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other: object) -> "QSqrt2":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, exponent: int) -> "QSqrt2":
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result = QSqrt2(1)
+        base = self
+        n = exponent
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self) -> int:
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b))
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
+    def conjugate(self) -> "QSqrt2":
+        # Complex conjugation; the value is real.
+        return self
+
+    @property
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def as_fraction(self) -> Fraction:
+        if self.b != 0:
+            raise ValueError(f"{self} is not rational")
+        return self.a
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * math.sqrt(2.0)
+
+    def __complex__(self) -> complex:
+        return complex(float(self))
+
+    def __repr__(self) -> str:
+        return f"QSqrt2({self.a!r}, {self.b!r})"
+
+    def __str__(self) -> str:
+        if self.b == 0:
+            return str(self.a)
+        if self.a == 0:
+            return f"{self.b}*sqrt2"
+        return f"{self.a} + {self.b}*sqrt2"
+
+
+class ExactComplex:
+    """An element (a + b*sqrt2) + (c + d*sqrt2)*i of Q(sqrt2, i)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Union[RationalLike, QSqrt2] = 0,
+                 im: Union[RationalLike, QSqrt2] = 0) -> None:
+        self.re = re if isinstance(re, QSqrt2) else QSqrt2(re)
+        self.im = im if isinstance(im, QSqrt2) else QSqrt2(im)
+
+    @classmethod
+    def zero(cls) -> "ExactComplex":
+        return cls(0, 0)
+
+    @classmethod
+    def one(cls) -> "ExactComplex":
+        return cls(1, 0)
+
+    @classmethod
+    def i(cls) -> "ExactComplex":
+        return cls(0, 1)
+
+    @staticmethod
+    def _coerce(value: object) -> Optional["ExactComplex"]:
+        if isinstance(value, ExactComplex):
+            return value
+        if isinstance(value, QSqrt2):
+            return ExactComplex(value)
+        if isinstance(value, (int, Fraction)):
+            return ExactComplex(QSqrt2(value))
+        return None
+
+    def __add__(self, other: object) -> "ExactComplex":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ExactComplex(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: object) -> "ExactComplex":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ExactComplex(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other: object) -> "ExactComplex":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ExactComplex(o.re - self.re, o.im - self.im)
+
+    def __neg__(self) -> "ExactComplex":
+        return ExactComplex(-self.re, -self.im)
+
+    def __mul__(self, other: object) -> "ExactComplex":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return ExactComplex(self.re * o.re - self.im * o.im,
+                            self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "ExactComplex":
+        return ExactComplex(self.re, -self.im)
+
+    def abs2(self) -> QSqrt2:
+        """Squared modulus, an exact element of Q(sqrt2)."""
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self) -> "ExactComplex":
+        n = self.abs2()
+        if not n:
+            raise ZeroDivisionError("division by zero in ExactComplex")
+        inv = n.inverse()
+        return ExactComplex(self.re * inv, -self.im * inv)
+
+    def __truediv__(self, other: object) -> "ExactComplex":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other: object) -> "ExactComplex":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, exponent: int) -> "ExactComplex":
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result = ExactComplex.one()
+        base = self
+        n = exponent
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self) -> int:
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re.a, self.re.b, self.im.a, self.im.b))
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self) -> str:
+        return f"ExactComplex({self.re!r}, {self.im!r})"
+
+    def __str__(self) -> str:
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"({self.im})*i"
+        return f"({self.re}) + ({self.im})*i"
+
+
+def sqrt_in_tower(q: Fraction) -> Optional[QSqrt2]:
+    """The exact square root of a nonnegative rational, if it lies in Q(sqrt2).
+
+    sqrt(q) is either rational or a rational multiple of sqrt2 exactly when
+    the odd part of numerator*denominator is a perfect square; otherwise the
+    root falls outside the tower and None is returned.
+    """
+    if q < 0:
+        raise ValueError("square root of a negative rational")
+    if q == 0:
+        return QSqrt2(0)
+    t = q.numerator * q.denominator
+    twos = (t & -t).bit_length() - 1
+    odd = t >> twos
+    root = math.isqrt(odd)
+    if root * root != odd:
+        return None
+    scaled = Fraction(root << (twos // 2), q.denominator)
+    if twos % 2 == 0:
+        return QSqrt2(scaled)
+    return QSqrt2(0, scaled)
+
+
+def to_jsonable(x: object) -> object:
+    """A JSON-friendly rendering of a scalar from either backend."""
+    if isinstance(x, ExactComplex):
+        return {"re": [str(x.re.a), str(x.re.b)], "im": [str(x.im.a), str(x.im.b)]}
+    if isinstance(x, QSqrt2):
+        return {"re": [str(x.a), str(x.b)], "im": ["0", "0"]}
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, complex):
+        return {"re": x.real, "im": x.imag}
+    return x

@@ -151,3 +151,42 @@ def test_act_rejects_mixed_backends():
     v = fock.basic(W("0"), backend=scalars.FLOAT)
     with pytest.raises(TypeError):
         fock.act(g, v)
+
+
+def test_rational_coefficients_stay_plain():
+    # scalars.one is a plain int on the exact backend, so rational work
+    # stays in int/Fraction until an irrational scalar enters.
+    w = W("0 1*")
+    v = fock.basic(w)
+    assert type(v.terms[w]) is int
+    assert type((3 * v - v).terms[w]) is int
+    assert type((Fraction(1, 3) * v).terms[w]) is Fraction
+    assert type(fock.norm2(v)) is int
+    identity = TorusStep.identity(1)
+    assert all(type(x) is int for x in identity.values)
+    assert type(fock.act(identity, v).terms[w]) is int
+    assert type(fock.inner(v, fock.act(identity, v))) is int
+    rotated = fock.act(TorusStep.from_eighth_root_indices([1, 0]), v)
+    assert isinstance(rotated.terms[w], ExactComplex)
+    assert isinstance(fock.embed(v)[W("00 10*")], ExactComplex)
+
+
+def test_float_scalars_and_steps_are_refused_on_exact_vectors():
+    # Exact vectors start from int coefficients, which a float scalar would
+    # absorb silently; scaling, act and inner check the backends instead.
+    w = W("0 1*")
+    exact, floating = fock.basic(w), fock.basic(w, backend=scalars.FLOAT)
+    with pytest.raises(TypeError):
+        fock.act(TorusStep.random_phases(1, random.Random(3)), exact)
+    with pytest.raises(TypeError):
+        fock.act(TorusStep.identity(1, backend=scalars.FLOAT), exact)
+    with pytest.raises(TypeError):
+        fock.inner(exact, floating)
+    with pytest.raises(TypeError):
+        fock.inner(floating, exact)
+    with pytest.raises(TypeError):
+        0.5 * exact
+    assert (0.5 * floating)[w] == 0.5
+    empty = fock.FockVector(1, {})
+    assert fock.inner(empty, floating) == 0
+    assert fock.act(TorusStep.identity(1, backend=scalars.FLOAT), empty) == empty

@@ -156,3 +156,18 @@ def test_json_round_trip_shape():
     (entry,) = d["components"]
     assert entry["degrees"] == [2, 1]
     assert entry["depth"] == 1
+
+
+def test_json_encodes_every_exact_value_alike():
+    # Exact vectors start from int coefficients; their values still render
+    # as {re, im} coordinate strings, like irrational ones.
+    f = steps.from_fock(fock.basic(W("0 0 1*")))
+    (entry,) = f.to_json_dict()["components"]
+    assert [c["value"] for c in entry["cells"]][:1] == [
+        {"re": ["2", "0"], "im": ["0", "0"]}]
+    g = steps.from_fock(fock.act(TorusStep.from_eighth_root_indices([1, 0]),
+                                 fock.basic(W("0 0 1*"))))
+    values = [c["value"] for c in g.to_json_dict()["components"][0]["cells"]]
+    assert values[0] == {"re": ["0", "0"], "im": ["2", "0"]}
+    assert scalars.to_jsonable(Fraction(1, 3)) == {"re": ["1/3", "0"], "im": ["0", "0"]}
+    assert scalars.to_jsonable(1j) == {"re": 0.0, "im": 1.0}
