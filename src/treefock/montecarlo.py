@@ -152,7 +152,13 @@ def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
     gen = _generator(seed)
     width = 2 ** depth
     sums = [0.0 + 0.0j for _ in polys]
-    sq_sums = [0.0 for _ in polys]
+    # running (mean, M2) over the samples seen so far, merged batch by batch
+    # with the pairwise update of Chan, Golub and LeVeque (1983).  M2 is the
+    # sum of |x - mean|^2, which keeps the precision that
+    # sum |x|^2 - n |mean|^2 loses to cancellation when |mean| is large.
+    means = [0.0 + 0.0j for _ in polys]
+    m2s = [0.0 for _ in polys]
+    seen = 0
     remaining = samples
     while remaining:
         batch = min(_BATCH, remaining)
@@ -172,12 +178,17 @@ def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
                         term = term * np.conj(z) ** b
                 vals = vals + term
             # numpy's pairwise summation keeps the batch totals stable
-            sums[i] += complex(vals.sum())
-            sq_sums[i] += float(np.square(np.abs(vals)).sum())
+            total = complex(vals.sum())
+            sums[i] += total
+            b_mean = total / batch
+            b_m2 = float(np.square(np.abs(vals - b_mean)).sum())
+            delta = b_mean - means[i]
+            means[i] += delta * (batch / (seen + batch))
+            m2s[i] += b_m2 + abs(delta) ** 2 * (seen * batch / (seen + batch))
+        seen += batch
         remaining -= batch
     out = []
     for i in range(len(polys)):
-        mean = sums[i] / samples
-        var = max((sq_sums[i] - samples * abs(mean) ** 2) / max(samples - 1, 1), 0.0)
-        out.append(Estimate(mean, math.sqrt(var / samples), samples))
+        var = m2s[i] / max(samples - 1, 1)
+        out.append(Estimate(sums[i] / samples, math.sqrt(var / samples), samples))
     return out

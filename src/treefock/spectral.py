@@ -15,7 +15,7 @@ zero measure otherwise.  The semigroup operations are
 * ``x + y``        -- pointwise sum of index functions,
 * ``x.scaled(m)``  -- relabel level k as m*k,
 * ``mu.relabel(m)``-- the matching pushforward of a measure,
-* ``tensor``       -- sum over all slot pairings of the product pushforward;
+* ``mu.tensor(nu)``-- sum over all slot pairings of the product pushforward;
                       the number of pairings is prod (x(k)+y(k))! over k.
 
 ``check_constraint`` builds both sides of the constraint
@@ -334,11 +334,6 @@ def _pairings(x: IndexFunction, y: IndexFunction,
     return out
 
 
-def tensor(mu: DepthMeasure, nu: DepthMeasure,
-           max_ops: int = DEFAULT_MAX_TENSOR_OPS) -> DepthMeasure:
-    return mu.tensor(nu, max_ops)
-
-
 def pairing_count(x: IndexFunction, y: IndexFunction) -> int:
     out = 1
     for k in sorted(set(x.dom()) | set(y.dom())):
@@ -359,22 +354,6 @@ def phase_at(x: IndexFunction, step: TorusStep, assignment: Assignment) -> Scala
         else:
             out = out * scalars.conj(val) ** (-k)
     return out
-
-
-def multiply_phase(x: IndexFunction, step: TorusStep,
-                   f: Mapping[Assignment, Scalar]) -> Dict[Assignment, Scalar]:
-    """The multiplication action on a grid function."""
-    return {key: phase_at(x, step, key) * val for key, val in f.items()}
-
-
-def grid_norm2(f: Mapping[Assignment, Scalar], mu: DepthMeasure) -> Scalar:
-    acc: Scalar = 0
-    for key, wt in mu.weights.items():
-        val = f.get(key, 0)
-        if val == 0:
-            continue
-        acc = acc + scalars.abs2(val) * wt
-    return acc
 
 
 def spectral_form(x: IndexFunction, j: int = 1, depth: int = 1,

@@ -6,13 +6,12 @@ first block lists the unmarked words and whose second block lists the marked
 ones.  The image of a vector therefore lives in an l2-sum of blocks indexed
 by the pair (p, q) = (unmarked count, marked count).
 
-The normalizing constant sqrt(2^(n*l) / (p! q!)) is irrational in general, so
-a StepFunction stores it as a factored nonnegative rational ``radical`` (the
-function is sqrt(radical) * sum of cell values).  Sums, inner products and
-equality tests merge radicals exactly whenever the square root of the ratio
-lies in Q(sqrt2); identities produced by the realization itself always stay
-in that range.  On the float backend the radical is folded into the values
-numerically at construction and never needs merging.
+The normalizing constant sqrt(2^(n*l) / (p! q!)) splits into sqrt2^(n*l),
+which lies in Q(sqrt2), and 1/sqrt(p! q!), which is fixed by the block
+shape.  A StepFunction stores its cell values with the first factor already
+multiplied in, and stands for those values divided by sqrt(p! q!).  Sums,
+refinement, the torus action and equality therefore work on the stored
+values directly; only ``inner`` applies the shape constant, as 1/(p! q!).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Dict, List, Mapping, Tuple
 from . import scalars
 from .errors import CapExceeded
 from .fock import FockVector
-from .scalars import EXACT, FLOAT, Scalar
+from .scalars import Scalar
 from .words import MAX_WORD_LENGTH, AdmissibleWord, TorusStep, Word
 
 
@@ -69,60 +68,37 @@ class GridCell:
 
 
 class StepFunction:
-    """sqrt(radical) times a finite combination of same-shape cell indicators."""
+    """A finite combination of same-shape cell indicators, divided by
+    sqrt(p! q!) for the block shape (p, q)."""
 
-    __slots__ = ("degrees", "depth", "radical", "values")
+    __slots__ = ("degrees", "depth", "values")
 
-    def __init__(self, degrees: Tuple[int, int], depth: int, radical: Fraction,
+    def __init__(self, degrees: Tuple[int, int], depth: int,
                  values: Mapping[GridCell, Scalar]) -> None:
-        radical = Fraction(radical)
-        if radical < 0:
-            raise ValueError("radical must be nonnegative")
         cleaned: Dict[GridCell, Scalar] = {}
-        if radical != 0:
-            for cell, val in values.items():
-                if cell.depth != depth:
-                    raise ValueError("cell at the wrong depth")
-                if cell.degrees != degrees:
-                    raise ValueError("cell with the wrong block shape")
-                if val == 0:
-                    continue
-                cleaned[cell] = val
+        for cell, val in values.items():
+            if cell.depth != depth:
+                raise ValueError("cell at the wrong depth")
+            if cell.degrees != degrees:
+                raise ValueError("cell with the wrong block shape")
+            if val == 0:
+                continue
+            cleaned[cell] = val
         self.degrees = degrees
         self.depth = depth
-        self.radical = radical if cleaned else Fraction(0)
         self.values = cleaned
 
     @classmethod
     def zero(cls, degrees: Tuple[int, int], depth: int) -> "StepFunction":
-        return cls(degrees, depth, Fraction(0), {})
+        return cls(degrees, depth, {})
 
     @property
     def is_zero(self) -> bool:
         return not self.values
 
-    def backend(self) -> str:
-        return scalars.backend_of_values(self.values.values())
-
     def scaled(self, c: Scalar) -> "StepFunction":
-        return StepFunction(self.degrees, self.depth, self.radical,
+        return StepFunction(self.degrees, self.depth,
                             {cell: c * v for cell, v in self.values.items()})
-
-    def _aligned_values(self, other: "StepFunction") -> Dict[GridCell, Scalar]:
-        """Other's values rescaled onto self's radical."""
-        if self.radical == other.radical:
-            return dict(other.values)
-        ratio = other.radical / self.radical
-        root = scalars.sqrt_in_tower(ratio)
-        if root is None:
-            if other.backend() == FLOAT or self.backend() == FLOAT:
-                factor: Scalar = math.sqrt(float(ratio))
-            else:
-                raise ValueError(
-                    f"cannot merge radicals {self.radical} and {other.radical} exactly")
-        else:
-            factor = root
-        return {cell: factor * v for cell, v in other.values.items()}
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         if not isinstance(other, StepFunction):
@@ -131,14 +107,10 @@ class StepFunction:
             raise ValueError("cannot add step functions of different block shapes")
         if other.depth != self.depth:
             raise ValueError("cannot add step functions at different depths")
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         merged = dict(self.values)
-        for cell, v in self._aligned_values(other).items():
+        for cell, v in other.values.items():
             merged[cell] = merged.get(cell, 0) + v
-        return StepFunction(self.degrees, self.depth, self.radical, merged)
+        return StepFunction(self.degrees, self.depth, merged)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         return self + other.scaled(-1)
@@ -146,18 +118,8 @@ class StepFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StepFunction):
             return NotImplemented
-        if self.degrees != other.degrees or self.depth != other.depth:
-            return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        ratio = other.radical / self.radical
-        root = scalars.sqrt_in_tower(ratio)
-        if root is None:
-            # Equal functions with tower-valued cell coefficients cannot
-            # differ by an irrational factor outside the tower.
-            return False
-        theirs = {cell: root * v for cell, v in other.values.items()}
-        return self.values == theirs
+        return (self.degrees == other.degrees and self.depth == other.depth
+                and self.values == other.values)
 
     __hash__ = None  # mutable-by-convention container
 
@@ -167,8 +129,6 @@ class StepFunction:
             raise ValueError("inner product needs equal block shapes")
         if self.depth != other.depth:
             raise ValueError("inner product needs equal depths")
-        if self.is_zero or other.is_zero:
-            return 0
         acc: Scalar = 0
         small, big = ((self.values, other.values)
                       if len(self.values) <= len(other.values)
@@ -179,20 +139,10 @@ class StepFunction:
                 continue
             mine, theirs = (v, w) if small is self.values else (w, v)
             acc = acc + mine * scalars.conj(theirs)
-        if acc == 0:
-            return 0
-        prod = self.radical * other.radical
-        if scalars.backend_of(acc) == FLOAT:
-            factor: Scalar = math.sqrt(float(prod))
-        else:
-            root = scalars.sqrt_in_tower(prod)
-            if root is None:
-                raise ValueError(
-                    f"inner product radical sqrt({prod}) falls outside Q(sqrt2)")
-            factor = root.as_fraction() if root.is_rational else root
         p, q = self.degrees
-        mass = Fraction(1, 2 ** (self.depth * (p + q)))
-        return factor * mass * acc
+        # cell mass times the shape constant 1/sqrt(p! q!) squared
+        return Fraction(1, 2 ** (self.depth * (p + q))
+                        * math.factorial(p) * math.factorial(q)) * acc
 
     def norm2(self) -> Scalar:
         return self.inner(self)
@@ -203,7 +153,7 @@ class StepFunction:
         for cell, v in self.values.items():
             for child in cell.children():
                 out[child] = v
-        return StepFunction(self.degrees, self.depth + 1, self.radical, out)
+        return StepFunction(self.degrees, self.depth + 1, out)
 
     def act(self, g: TorusStep) -> "StepFunction":
         """Multiply by the step's phase: values on the left block,
@@ -218,7 +168,7 @@ class StepFunction:
             for w in cell.right:
                 ph = ph * g.inverse_value_at(w)
             out[cell] = ph * v
-        return StepFunction(self.degrees, self.depth, self.radical, out)
+        return StepFunction(self.degrees, self.depth, out)
 
     def is_block_symmetric(self) -> bool:
         """Invariance of the values under permuting each block separately."""
@@ -236,7 +186,6 @@ class StepFunction:
         return {
             "degrees": list(self.degrees),
             "depth": self.depth,
-            "radical": str(self.radical),
             "cells": [{
                 "left": ["".join(map(str, w)) for w in cell.left],
                 "right": ["".join(map(str, w)) for w in cell.right],
@@ -246,7 +195,7 @@ class StepFunction:
 
     def __repr__(self) -> str:
         return (f"StepFunction(degrees={self.degrees}, depth={self.depth}, "
-                f"radical={self.radical}, cells={len(self.values)})")
+                f"cells={len(self.values)})")
 
 
 class StepSum:
@@ -271,12 +220,11 @@ class StepSum:
     def is_zero(self) -> bool:
         return not self.components
 
-    def backend(self) -> str:
-        for f in self.components.values():
-            b = f.backend()
-            if b == FLOAT:
-                return FLOAT
-        return EXACT
+    @property
+    def terms(self) -> Dict[GridCell, Scalar]:
+        """Every stored cell value, keyed by cell; a cell fixes its shape."""
+        return {cell: v for f in self.components.values()
+                for cell, v in f.values.items()}
 
     @staticmethod
     def _align(a: StepFunction, b: StepFunction) -> Tuple[StepFunction, StepFunction]:
@@ -336,9 +284,6 @@ class StepSum:
     def refine(self) -> "StepSum":
         return StepSum({k: f.refine() for k, f in self.components.items()})
 
-    def max_depth(self) -> int:
-        return max((f.depth for f in self.components.values()), default=0)
-
     def act(self, g: TorusStep) -> "StepSum":
         return StepSum({k: f.act(g) for k, f in self.components.items()})
 
@@ -364,33 +309,19 @@ def support_measure(word: AdmissibleWord) -> Fraction:
 def from_fock(v: FockVector) -> StepSum:
     """Realize a Fock vector as a sum of symmetrized step functions.
 
-    A basic word maps to sqrt(2^(n*l)/(p! q!)) times prod(m_s!) on each of
-    its support cells; words of equal block shape share the radical, so the
-    extension is linear with exact coefficients.
+    A basic word of level n, degree l and block shape (p, q) maps to
+    sqrt(2^(n*l)/(p! q!)) times prod(m_s!) on each of its support cells.
+    The stored value is coeff * prod(m_s!) * sqrt2^(n*l); the shape
+    constant 1/sqrt(p! q!) stays implicit, so the extension is linear with
+    coefficients in the vector's own scalar field.
     """
     backend = v.backend()
     n = v.level
     buckets: Dict[Tuple[int, int], Dict[GridCell, Scalar]] = {}
     for word, coeff in v.terms.items():
-        key = word.degrees
-        val = coeff * word.gram_diagonal()
-        bucket = buckets.setdefault(key, {})
+        val = coeff * word.gram_diagonal() * scalars.sqrt2_pow(n * word.degree, backend)
+        bucket = buckets.setdefault(word.degrees, {})
         for cell in support_cells(word):
             bucket[cell] = bucket.get(cell, 0) + val
-    components: Dict[Tuple[int, int], StepFunction] = {}
-    for (p, q), values in buckets.items():
-        radical = Fraction(2 ** (n * (p + q)), math.factorial(p) * math.factorial(q))
-        if backend == FLOAT:
-            root = math.sqrt(float(radical))
-            values = {cell: root * val for cell, val in values.items()}
-            radical = Fraction(1)
-        components[(p, q)] = StepFunction((p, q), n, radical, values)
-    return StepSum(components)
-
-
-def act(g: TorusStep, f: StepSum) -> StepSum:
-    return f.act(g)
-
-
-def refine(f: StepSum) -> StepSum:
-    return f.refine()
+    return StepSum({key: StepFunction(key, n, values)
+                    for key, values in buckets.items()})

@@ -145,26 +145,12 @@ def _close(cfg: RunConfig, a, b) -> bool:
     return scalars.approx_equal(a, b, cfg.float_tol)
 
 
-def _vec_equal(cfg: RunConfig, a: fock.FockVector, b: fock.FockVector) -> bool:
+def _equal(cfg: RunConfig, a, b) -> bool:
+    """Equality of two Fock vectors, Gaussian polynomials or step sums:
+    literal on the exact backend, coefficientwise within tolerance on floats."""
     if cfg.backend == EXACT:
         return a == b
-    diff = a - b
-    return all(abs(complex(c)) <= cfg.float_tol for c in diff.terms.values())
-
-
-def _poly_equal(cfg: RunConfig, a: gauss.GaussPoly, b: gauss.GaussPoly) -> bool:
-    if cfg.backend == EXACT:
-        return a == b
-    diff = a - b
-    return all(abs(complex(c)) <= cfg.float_tol for c in diff.terms.values())
-
-
-def _step_equal(cfg: RunConfig, a: steps.StepSum, b: steps.StepSum) -> bool:
-    if cfg.backend == EXACT:
-        return a == b
-    diff = a - b
-    return all(abs(complex(v)) <= cfg.float_tol
-               for f in diff.components.values() for v in f.values.values())
+    return all(abs(complex(c)) <= cfg.float_tol for c in (a - b).terms.values())
 
 
 # ------------------------------------------------------------------ fock
@@ -273,7 +259,7 @@ def fock_suites(cfg: RunConfig) -> List[SuiteReport]:
             e = fock.embed(b)
             ok = _close(cfg, fock.norm2(e), fock.norm2(b))
             if w.degree <= 4:
-                ok = ok and _vec_equal(cfg, e, fock.embed_by_enumeration(b))
+                ok = ok and _equal(cfg, e, fock.embed_by_enumeration(b))
             r.case(ok, word=w)
         for _ in range(12):
             u = _random_vector(cfg, level, rng)
@@ -307,10 +293,10 @@ def fock_suites(cfg: RunConfig) -> List[SuiteReport]:
             h = _random_step(cfg, level, rng)
             v = _random_vector(cfg, level, rng)
             ok = (_close(cfg, fock.norm2(fock.act(g, v)), fock.norm2(v))
-                  and _vec_equal(cfg, fock.act(g, fock.act(h, v)),
-                                 fock.act(g * h, v))
-                  and _vec_equal(cfg, fock.act(TorusStep.identity(level, cfg.backend), v), v)
-                  and _vec_equal(cfg, fock.act(g.inverse(), fock.act(g, v)), v))
+                  and _equal(cfg, fock.act(g, fock.act(h, v)),
+                             fock.act(g * h, v))
+                  and _equal(cfg, fock.act(TorusStep.identity(level, cfg.backend), v), v)
+                  and _equal(cfg, fock.act(g.inverse(), fock.act(g, v)), v))
             r.case(ok, level=level)
     reports.append(r)
     return reports
@@ -397,9 +383,9 @@ def step_suites(cfg: RunConfig) -> List[SuiteReport]:
             h = _random_step(cfg, level, rng)
             v = _random_vector(cfg, level, rng)
             f = steps.from_fock(v)
-            ok = (_step_equal(cfg, steps.from_fock(fock.act(g, v)), f.act(g))
+            ok = (_equal(cfg, steps.from_fock(fock.act(g, v)), f.act(g))
                   and _close(cfg, f.act(g).norm2(), f.norm2())
-                  and _step_equal(cfg, f.act(g).act(h), f.act(g * h)))
+                  and _equal(cfg, f.act(g).act(h), f.act(g * h)))
             r.case(ok, level=level)
     reports.append(r)
 
@@ -487,11 +473,11 @@ def gauss_suites(cfg: RunConfig) -> List[SuiteReport]:
             h = _random_step(cfg, level, rng)
             p = gauss.from_fock(_random_vector(cfg, level, rng))
             ok = (_close(cfg, gauss.norm2(gauss.koopman(g, p)), gauss.norm2(p))
-                  and _poly_equal(cfg, gauss.koopman(g, gauss.koopman(h, p)),
-                                  gauss.koopman(g * h, p))
-                  and _poly_equal(cfg,
-                                  gauss.koopman(TorusStep.identity(level, cfg.backend), p),
-                                  p))
+                  and _equal(cfg, gauss.koopman(g, gauss.koopman(h, p)),
+                             gauss.koopman(g * h, p))
+                  and _equal(cfg,
+                             gauss.koopman(TorusStep.identity(level, cfg.backend), p),
+                             p))
             r.case(ok, level=level)
     reports.append(r)
 
@@ -501,8 +487,8 @@ def gauss_suites(cfg: RunConfig) -> List[SuiteReport]:
         for _ in range(8):
             g = _random_step(cfg, level, rng)
             v = _random_vector(cfg, level, rng)
-            r.case(_poly_equal(cfg, gauss.from_fock(fock.act(g, v)),
-                               gauss.koopman(g, gauss.from_fock(v))),
+            r.case(_equal(cfg, gauss.from_fock(fock.act(g, v)),
+                          gauss.koopman(g, gauss.from_fock(v))),
                    level=level)
     reports.append(r)
 
@@ -547,12 +533,12 @@ def coherence_suites(cfg: RunConfig, full_gram: bool = False) -> List[SuiteRepor
                           sorted(rng.sample(range(len(basis)), min(120, len(basis)))))
         for w in basis:
             b = fock.basic(w, cfg.backend)
-            r.case(_step_equal(cfg, steps.from_fock(b).refine(),
-                               steps.from_fock(fock.embed(b))), word=w)
+            r.case(_equal(cfg, steps.from_fock(b).refine(),
+                          steps.from_fock(fock.embed(b))), word=w)
         for _ in range(6):
             v = _random_vector(cfg, level, rng)
-            r.case(_step_equal(cfg, steps.from_fock(v).refine(),
-                               steps.from_fock(fock.embed(v))), level=level)
+            r.case(_equal(cfg, steps.from_fock(v).refine(),
+                          steps.from_fock(fock.embed(v))), level=level)
     reports.append(r)
 
     r = SuiteReport("coherence", "embed-gauss",
@@ -565,8 +551,8 @@ def coherence_suites(cfg: RunConfig, full_gram: bool = False) -> List[SuiteRepor
                           sorted(rng.sample(range(len(basis)), min(120, len(basis)))))
         for w in basis:
             b = fock.basic(w, cfg.backend)
-            r.case(_poly_equal(cfg, gauss.refine(gauss.from_fock(b), level + 1),
-                               gauss.from_fock(fock.embed(b))), word=w)
+            r.case(_equal(cfg, gauss.refine(gauss.from_fock(b), level + 1),
+                          gauss.from_fock(fock.embed(b))), word=w)
     reports.append(r)
 
     r = SuiteReport("coherence", "embed-equivariance",
@@ -576,8 +562,8 @@ def coherence_suites(cfg: RunConfig, full_gram: bool = False) -> List[SuiteRepor
         for _ in range(8):
             g = _random_step(cfg, level, rng)
             v = _random_vector(cfg, level, rng)
-            r.case(_vec_equal(cfg, fock.embed(fock.act(g, v)),
-                              fock.act(g, fock.embed(v))), level=level)
+            r.case(_equal(cfg, fock.embed(fock.act(g, v)),
+                          fock.act(g, fock.embed(v))), level=level)
     reports.append(r)
 
     r = SuiteReport("coherence", "cross-gram",
@@ -932,12 +918,3 @@ COMMANDS: Dict[str, Callable[[RunConfig], List[SuiteReport]]] = {
     "verify-spectral": spectral_suites,
     "simulate": simulate_suites,
 }
-
-
-def run_command(cfg: RunConfig) -> List[SuiteReport]:
-    if cfg.command == "all":
-        out = []
-        for name in COMMANDS:
-            out.extend(COMMANDS[name](cfg))
-        return out
-    return COMMANDS[cfg.command](cfg)

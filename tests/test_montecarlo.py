@@ -46,6 +46,15 @@ def test_batching_invisible():
     assert large.std_error < small.std_error
 
 
+def test_std_error_ignores_a_large_constant():
+    # a shift by 10^9 leaves the spread alone; sum |x|^2 - n |mean|^2 would
+    # lose it to cancellation
+    root = z(make_word(""))
+    shifted = montecarlo.estimate(GaussPoly.constant(10**9) + root, 10**5, depth=3, seed=1)
+    plain = montecarlo.estimate(root, 10**5, depth=3, seed=1)
+    assert shifted.std_error == pytest.approx(plain.std_error, rel=1e-6)
+
+
 def test_estimate_many_shares_stream():
     p = z(make_word("0")) * z(make_word("0")).conj()
     q = z(make_word("1")) * z(make_word("1")).conj()

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treefock import fock, scalars, steps
-from treefock.scalars import ExactComplex
+from treefock.scalars import ExactComplex, QSqrt2
 from treefock.steps import GridCell, StepFunction
 from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible
 
@@ -35,13 +35,27 @@ def test_support_frozen_examples():
     assert steps.support_measure(v) == Fraction(1, 2)
 
 
-def test_from_fock_values_and_radical():
-    f = steps.from_fock(fock.basic(W("0 1")))
-    part = f.components[(2, 0)]
-    assert part.radical == Fraction(4, 2)  # 2^(n*l) / (p! q!)
-    assert part.values == {GridCell(1, ((0,), (1,)), ()): 1,
-                           GridCell(1, ((1,), (0,)), ()): 1}
-    assert part.norm2() == 1
+def test_from_fock_stores_power_of_sqrt2_times_gram():
+    # stored value: coeff * prod(m_s!) * sqrt2^(n*l), shape constant implicit
+    cases = [
+        (W("0 0 1*"), 3, QSqrt2(0, 12)),                # n*l = 3: 3 * 2! * 2*sqrt2
+        (W("00 01"), ExactComplex(1, 1), ExactComplex(4, 4)),  # n*l = 4: (1+i) * 4
+    ]
+    for word, coeff, want in cases:
+        part = steps.from_fock(coeff * fock.basic(word)).components[word.degrees]
+        assert part.values == {cell: want for cell in steps.support_cells(word)}
+
+
+def test_inner_applies_mass_and_shape_constant():
+    a_cell = GridCell(1, ((0,), (1,)), ((0,),))
+    b_cell = GridCell(1, ((1,), (0,)), ((0,),))
+    c_cell = GridCell(1, ((1,), (1,)), ((1,),))
+    f = StepFunction((2, 1), 1, {a_cell: 3, b_cell: ExactComplex(0, 1), c_cell: 5})
+    g = StepFunction((2, 1), 1, {a_cell: 2, b_cell: ExactComplex(1, 1)})
+    acc = 3 * 2 + ExactComplex(0, 1) * ExactComplex(1, -1)
+    # cell mass 1/2^3, shape constant 1/(2! 1!)
+    assert f.inner(g) == Fraction(1, 8) * acc / 2
+    assert g.inner(f) == scalars.conj(f.inner(g))
 
 
 def test_norm_transport_level1():
@@ -119,34 +133,14 @@ def test_scalar_and_linear_structure():
     assert (s - f - g).is_zero
 
 
-def test_radical_alignment_inside_tower():
-    # (2,0) parts at level 1 and 2 carry radicals 2 and 8; ratio 4 merges
-    a = StepFunction((2, 0), 1, Fraction(2), {GridCell(1, ((0,), (1,)), ()): 1})
-    b = StepFunction((2, 0), 1, Fraction(8), {GridCell(1, ((0,), (1,)), ()): 1})
-    merged = a + b
-    assert merged.radical == Fraction(2)
-    assert merged.values[GridCell(1, ((0,), (1,)), ())] == 3  # 1 + sqrt(8/2)*1
-
-
-def test_radical_alignment_outside_tower():
-    # sqrt(3/2) and sqrt(6) are outside Q(sqrt2): exact ops refuse them
-    a = StepFunction((1, 0), 1, Fraction(2), {GridCell(1, ((0,),), ()): 1})
-    b = StepFunction((1, 0), 1, Fraction(3), {GridCell(1, ((0,),), ()): 1})
-    with pytest.raises(ValueError):
-        a + b
-    assert a != b
-    with pytest.raises(ValueError):
-        a.inner(b)
-
-
-def test_float_backend_folds_radical():
-    v = fock.basic(W("0 1"), backend=scalars.FLOAT)
-    f = steps.from_fock(v)
-    part = f.components[(2, 0)]
-    assert part.radical == 1
-    for val in part.values.values():
-        assert val == pytest.approx(2 ** 0.5)
-    assert f.norm2() == pytest.approx(1.0)
+def test_float_backend_values_and_norms():
+    for degree in range(1, 4):
+        for w in enumerate_admissible(1, degree):
+            v = fock.basic(w, backend=scalars.FLOAT)
+            f = steps.from_fock(v)
+            assert all(scalars.backend_of(val) == scalars.FLOAT
+                       for val in f.terms.values())
+            assert f.norm2() == pytest.approx(fock.norm2(v), rel=1e-12, abs=1e-12)
 
 
 def test_json_round_trip_shape():
@@ -159,15 +153,16 @@ def test_json_round_trip_shape():
 
 
 def test_json_encodes_every_exact_value_alike():
-    # Exact vectors start from int coefficients; their values still render
-    # as {re, im} coordinate strings, like irrational ones.
+    # Every exact value renders as {re, im} coordinate strings, whether it is
+    # an int, a Fraction or irrational.
     f = steps.from_fock(fock.basic(W("0 0 1*")))
     (entry,) = f.to_json_dict()["components"]
     assert [c["value"] for c in entry["cells"]][:1] == [
-        {"re": ["2", "0"], "im": ["0", "0"]}]
+        {"re": ["0", "4"], "im": ["0", "0"]}]
     g = steps.from_fock(fock.act(TorusStep.from_eighth_root_indices([1, 0]),
                                  fock.basic(W("0 0 1*"))))
     values = [c["value"] for c in g.to_json_dict()["components"][0]["cells"]]
-    assert values[0] == {"re": ["0", "0"], "im": ["2", "0"]}
+    assert values[0] == {"re": ["0", "0"], "im": ["0", "4"]}
+    assert scalars.to_jsonable(2) == {"re": ["2", "0"], "im": ["0", "0"]}
     assert scalars.to_jsonable(Fraction(1, 3)) == {"re": ["1/3", "0"], "im": ["0", "0"]}
     assert scalars.to_jsonable(1j) == {"re": 0.0, "im": 1.0}
