@@ -5,8 +5,9 @@ An index function x assigns a positive count to finitely many nonzero
 integer levels.  Its slot set D(x) has one slot (k, i) per level k and copy
 i < x(k); a point of the associated grid assigns a binary word to every
 slot.  At a finite depth d the relevant measures are determined by their
-cylinder weights, so a DepthMeasure stores one nonnegative rational weight
-per assignment of depth-d words to slots.
+cylinder weights, one per assignment of depth-d words to slots.  A
+DepthMeasure holds them as exact integer counts over one denominator, in an
+int64 array with one axis of 2**d words per slot.
 
 The spectral form of the multiplication representation attached to x is the
 full product measure when dom(x) is contained in {-1, 1} (at j = 1) and the
@@ -15,8 +16,8 @@ zero measure otherwise.  The semigroup operations are
 * ``x + y``        -- pointwise sum of index functions,
 * ``x.scaled(m)``  -- relabel level k as m*k,
 * ``mu.relabel(m)``-- the matching pushforward of a measure,
-* ``mu.tensor(nu)``-- sum over all slot pairings of the product pushforward;
-                      the number of pairings is prod (x(k)+y(k))! over k.
+* ``mu.tensor(nu)``-- sum of the product pushforward over the slot pairings,
+                      the prod (x(k)+y(k))! good permutations of x + y.
 
 ``check_constraint`` builds both sides of the constraint
 
@@ -35,7 +36,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from . import scalars
 from .errors import CapExceeded
@@ -45,9 +49,11 @@ from .words import MAX_WORD_LENGTH, TorusStep, Word, all_words
 Slot = Tuple[int, int]
 Assignment = Tuple[Word, ...]
 
-# Bound on pairings * cell pairs a tensor product may touch.
+# Bound on pairings * nonzero cell pairs a tensor product may touch, and on
+# the cells of any one measure.
 DEFAULT_MAX_TENSOR_OPS = 2_000_000
 DEFAULT_MAX_PERMUTATIONS = 100_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -135,96 +141,134 @@ def good_permutations(x: IndexFunction,
     position of the slot that lands in position j.  There are prod x(k)! of
     them.
     """
-    count = 1
-    for _, c in x.items:
-        count *= math.factorial(c)
+    count = math.prod(math.factorial(c) for _, c in x.items)
     if count > max_count:
         raise CapExceeded(f"{count} good permutations exceed the cap {max_count}")
-    blocks = []
-    offset = 0
-    for _, c in x.items:
-        blocks.append([tuple(offset + i for i in perm)
-                       for perm in itertools.permutations(range(c))])
-        offset += c
-    out = []
-    for combo in itertools.product(*blocks):
-        flat: Tuple[int, ...] = ()
-        for part in combo:
-            flat = flat + part
-        out.append(flat)
-    return out
+    starts = itertools.accumulate((c for _, c in x.items), initial=0)
+    blocks = [list(itertools.permutations(range(start, start + c)))
+              for start, (_, c) in zip(starts, x.items)]
+    return [sum(combo, ()) for combo in itertools.product(*blocks)]
+
+
+def _grid_shape(index: IndexFunction, depth: int, max_cells: int) -> Tuple[int, ...]:
+    """One axis of 2**depth words per slot; raises before a grid over the cap."""
+    if depth < 0 or depth > MAX_WORD_LENGTH:
+        raise ValueError("depth out of range")
+    cells = (2 ** depth) ** index.total()
+    if cells > max_cells:
+        raise CapExceeded(f"{cells} cells exceed the cap {max_cells}")
+    return (2 ** depth,) * index.total()
+
+
+def _check_int64(total: int) -> None:
+    if total > _INT64_MAX:
+        raise CapExceeded(f"total count {total} exceeds the int64 bound")
 
 
 class DepthMeasure:
-    """Cylinder weights at one depth: assignment of words to slots -> mass."""
+    """Cylinder weights at one depth, as integer counts over one denominator.
 
-    __slots__ = ("index", "depth", "weights")
+    ``counts`` is a read-only int64 array with one axis of length 2**depth
+    per slot of ``index.slots()``, in that order.  A word indexes its axis as
+    a binary number, first bit most significant, so each axis runs through
+    the words in lexicographic order.  The weight of an assignment of words
+    to slots is ``counts[cell] / den``.  The form is normal (``den > 0`` and
+    ``gcd(counts, den) == 1``), so equal measures have equal arrays.
+
+    Limits, each raising ``CapExceeded`` before any array is allocated: a
+    measure has at most ``DEFAULT_MAX_TENSOR_OPS`` cells (or the cap its
+    builder is given), and its counts sum to at most the int64 maximum, so
+    no sum over cells can overflow.
+    """
+
+    __slots__ = ("index", "depth", "counts", "den")
 
     def __init__(self, index: IndexFunction, depth: int,
                  weights: Mapping[Assignment, Fraction]) -> None:
-        if depth < 0 or depth > MAX_WORD_LENGTH:
-            raise ValueError("depth out of range")
-        nslots = len(index.slots())
-        cleaned: Dict[Assignment, Fraction] = {}
+        shape = _grid_shape(index, depth, DEFAULT_MAX_TENSOR_OPS)
+        cells: Dict[Tuple[int, ...], Fraction] = {}
         for key, wt in weights.items():
-            if len(key) != nslots:
+            if len(key) != len(shape):
                 raise ValueError("assignment with the wrong number of slots")
             if any(len(w) != depth for w in key):
                 raise ValueError("assignment word at the wrong depth")
             wt = Fraction(wt)
             if wt < 0:
                 raise ValueError("weights must be nonnegative")
-            if wt:
-                cleaned[key] = wt
-        self.index = index
-        self.depth = depth
-        self.weights = cleaned
+            if wt:  # a word's position on its axis is the word read in binary
+                cells[tuple(int("0" + "".join(map(str, w)), 2) for w in key)] = wt
+        den = math.lcm(*(wt.denominator for wt in cells.values()))
+        _check_int64(sum(cells.values()) * den)
+        counts = np.zeros(shape, dtype=np.int64)
+        for cell, wt in cells.items():
+            counts[cell] = int(wt * den)
+        counts.flags.writeable = False
+        # normal already: over the least common denominator, the weight whose
+        # denominator holds the top power of a prime p has a count prime to p
+        self.index, self.depth, self.counts, self.den = index, depth, counts, den
+
+    @classmethod
+    def _of(cls, index: IndexFunction, depth: int, counts: np.ndarray,
+            den: int) -> "DepthMeasure":
+        """The measure counts/den, brought to normal form."""
+        g = math.gcd(int(np.gcd.reduce(counts, axis=None)), den)
+        out = object.__new__(cls)
+        out.index, out.depth, out.den = index, depth, den // g
+        out.counts = counts // g if g > 1 else counts
+        out.counts.flags.writeable = False
+        return out
 
     @classmethod
     def uniform(cls, index: IndexFunction, depth: int,
                 max_cells: int = DEFAULT_MAX_TENSOR_OPS) -> "DepthMeasure":
         """The full product measure at the given depth, total mass one."""
-        slots = index.slots()
-        cells = (2 ** depth) ** len(slots)
-        if cells > max_cells:
-            raise CapExceeded(f"{cells} cells exceed the cap {max_cells}")
-        wt = Fraction(1, cells)
-        words = all_words(depth)
-        return cls(index, depth,
-                   {key: wt for key in itertools.product(words, repeat=len(slots))})
+        shape = _grid_shape(index, depth, max_cells)
+        return cls._of(index, depth, np.ones(shape, dtype=np.int64), math.prod(shape))
 
     @classmethod
-    def zero(cls, index: IndexFunction, depth: int) -> "DepthMeasure":
-        return cls(index, depth, {})
+    def zero(cls, index: IndexFunction, depth: int,
+             max_cells: int = DEFAULT_MAX_TENSOR_OPS) -> "DepthMeasure":
+        shape = _grid_shape(index, depth, max_cells)
+        return cls._of(index, depth, np.zeros(shape, dtype=np.int64), 1)
+
+    @property
+    def weights(self) -> Mapping[Assignment, Fraction]:
+        """Read-only view of the nonzero cells: assignment -> weight."""
+        words = all_words(self.depth)
+        return MappingProxyType({
+            tuple(words[i] for i in cell): Fraction(int(self.counts[cell]), self.den)
+            for cell in map(tuple, np.argwhere(self.counts).tolist())})
 
     @property
     def is_zero(self) -> bool:
-        return not self.weights
+        return not self.counts.any()
 
     def mass(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(int(self.counts.sum()), self.den)
 
-    def support(self) -> frozenset:
-        return frozenset(self.weights)
+    def support(self) -> np.ndarray:
+        """Boolean mask of the cells with positive weight."""
+        return self.counts > 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DepthMeasure):
             return NotImplemented
         return (self.index == other.index and self.depth == other.depth
-                and self.weights == other.weights)
+                and self.den == other.den and np.array_equal(self.counts, other.counts))
 
     __hash__ = None
 
     def scaled_mass(self, c: Fraction) -> "DepthMeasure":
         c = Fraction(c)
-        return DepthMeasure(self.index, self.depth,
-                            {k: c * w for k, w in self.weights.items()})
+        if c < 0:
+            raise ValueError("weights must be nonnegative")
+        _check_int64(max(1, int(self.counts.sum())) * c.numerator)
+        return self._of(self.index, self.depth, self.counts * c.numerator,
+                        self.den * c.denominator)
 
     def permuted(self, perm: Tuple[int, ...]) -> "DepthMeasure":
         """Pushforward under the coordinate permutation (a position map)."""
-        return DepthMeasure(self.index, self.depth,
-                            {tuple(key[j] for j in perm): wt
-                             for key, wt in self.weights.items()})
+        return self._of(self.index, self.depth, self.counts.transpose(perm), self.den)
 
     def is_good_invariant(self,
                           max_count: int = DEFAULT_MAX_PERMUTATIONS) -> bool:
@@ -233,112 +277,65 @@ class DepthMeasure:
 
     def diagonal_mass(self, i: int, j: int) -> Fraction:
         """Mass of the set where slots i and j carry the same word."""
-        return sum((wt for key, wt in self.weights.items() if key[i] == key[j]),
-                   Fraction(0))
+        return Fraction(int(np.trace(self.counts, axis1=i, axis2=j).sum()), self.den)
 
     def diagonal_masses(self) -> Dict[Tuple[Slot, Slot], Fraction]:
         slots = self.index.slots()
-        out = {}
-        for i in range(len(slots)):
-            for j in range(i + 1, len(slots)):
-                out[(slots[i], slots[j])] = self.diagonal_mass(i, j)
-        return out
+        return {(slots[i], slots[j]): self.diagonal_mass(i, j)
+                for i, j in itertools.combinations(range(len(slots)), 2)}
 
     def coarsened(self) -> "DepthMeasure":
         """The induced measure one depth up (truncate each word's last bit)."""
         if self.depth < 1:
             raise ValueError("cannot coarsen depth 0")
-        out: Dict[Assignment, Fraction] = {}
-        for key, wt in self.weights.items():
-            short = tuple(w[:-1] for w in key)
-            out[short] = out.get(short, Fraction(0)) + wt
-        return DepthMeasure(self.index, self.depth - 1, out)
+        # A word's last bit is the low bit of its index: split it off per axis.
+        split = self.counts.reshape((2 ** (self.depth - 1), 2) * self.counts.ndim)
+        return self._of(self.index, self.depth - 1,
+                        split.sum(axis=tuple(range(1, split.ndim, 2))), self.den)
 
     def relabel(self, m: int) -> "DepthMeasure":
         """Pushforward matching ``index.scaled(m)``: slot (k, i) -> (m*k, i)."""
-        new_index = self.index.scaled(m)
-        old_slots = self.index.slots()
-        new_order = {slot: pos for pos, slot in enumerate(new_index.slots())}
-        perm = [0] * len(old_slots)
-        for pos, (k, i) in enumerate(old_slots):
-            perm[new_order[(m * k, i)]] = pos
-        return DepthMeasure(new_index, self.depth,
-                            {tuple(key[j] for j in perm): wt
-                             for key, wt in self.weights.items()})
+        moved = [(m * k, i) for k, i in self.index.slots()]
+        order = sorted(range(len(moved)), key=moved.__getitem__)
+        return self._of(self.index.scaled(m), self.depth, self.counts.transpose(order),
+                        self.den)
 
     def tensor(self, other: "DepthMeasure",
                max_ops: int = DEFAULT_MAX_TENSOR_OPS) -> "DepthMeasure":
         """Sum over slot pairings of the pushed-forward product measure.
 
         A pairing distributes, per level k, the x-slots and y-slots of that
-        level over the (x(k)+y(k)) target copies; each pairing pushes the
-        product measure forward along the induced coordinate bijection.
+        level over the (x(k)+y(k)) target copies.  The product is laid out
+        with the x-slots on the first copies of each level; the pairings are
+        then its transposes by the good permutations of x + y.
         """
         if other.depth != self.depth:
             raise ValueError("tensor product needs equal depths")
         target = self.index + other.index
-        pairings = _pairings(self.index, other.index, target)
-        ops = len(pairings) * max(1, len(self.weights)) * max(1, len(other.weights))
+        pairings = pairing_count(self.index, other.index)
+        ops = (pairings * max(1, np.count_nonzero(self.counts))
+               * max(1, np.count_nonzero(other.counts)))
         if ops > max_ops:
             raise CapExceeded(f"tensor product size {ops} exceeds the cap {max_ops}")
-        out: Dict[Assignment, Fraction] = {}
-        for mine, theirs in pairings:
-            for ka, wa in self.weights.items():
-                for kb, wb in other.weights.items():
-                    key = [None] * (len(ka) + len(kb))
-                    for pos, w in zip(mine, ka):
-                        key[pos] = w
-                    for pos, w in zip(theirs, kb):
-                        key[pos] = w
-                    tkey = tuple(key)
-                    out[tkey] = out.get(tkey, Fraction(0)) + wa * wb
-        return DepthMeasure(target, self.depth, out)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": {str(k): c for k, c in self.index.items},
-            "depth": self.depth,
-            "mass": str(self.mass()),
-            "cells": len(self.weights),
-        }
+        shape = _grid_shape(target, self.depth, max_ops)
+        _check_int64(pairings * int(self.counts.sum()) * int(other.counts.sum()))
+        keys = list(self.index.slots()) + [(k, self.index.get(k) + i)
+                                           for k, i in other.index.slots()]
+        layout = np.multiply.outer(self.counts, other.counts).transpose(
+            sorted(range(len(keys)), key=keys.__getitem__))
+        out = np.zeros(shape, dtype=np.int64)
+        for perm in good_permutations(target, max_ops):
+            out += layout.transpose(perm)
+        return self._of(target, self.depth, out, self.den * other.den)
 
     def __repr__(self) -> str:
         return (f"DepthMeasure(index={self.index}, depth={self.depth}, "
-                f"cells={len(self.weights)}, mass={self.mass()})")
-
-
-def _pairings(x: IndexFunction, y: IndexFunction,
-              target: IndexFunction) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """All ways to interleave the slots of x and y into the slots of x + y.
-
-    Each pairing is returned as two position tuples into ``target.slots()``,
-    aligned with ``x.slots()`` and ``y.slots()``.  Count: prod (x(k)+y(k))!.
-    """
-    target_pos = {slot: pos for pos, slot in enumerate(target.slots())}
-    per_level = []
-    for k, total in target.items:
-        a = x.get(k)
-        level_positions = [target_pos[(k, i)] for i in range(total)]
-        options = []
-        for perm in itertools.permutations(level_positions):
-            options.append((perm[:a], perm[a:]))
-        per_level.append(options)
-    out = []
-    for combo in itertools.product(*per_level):
-        mine: Tuple[int, ...] = ()
-        theirs: Tuple[int, ...] = ()
-        for xs, ys in combo:
-            mine = mine + xs
-            theirs = theirs + ys
-        out.append((mine, theirs))
-    return out
+                f"cells={np.count_nonzero(self.counts)}, mass={self.mass()})")
 
 
 def pairing_count(x: IndexFunction, y: IndexFunction) -> int:
-    out = 1
-    for k in sorted(set(x.dom()) | set(y.dom())):
-        out *= math.factorial(x.get(k) + y.get(k))
-    return out
+    """prod (x(k)+y(k))!, the number of good permutations of x + y."""
+    return math.prod(math.factorial(c) for _, c in (x + y).items)
 
 
 def phase_at(x: IndexFunction, step: TorusStep, assignment: Assignment) -> Scalar:
@@ -365,7 +362,7 @@ def spectral_form(x: IndexFunction, j: int = 1, depth: int = 1,
     """
     if j == 1 and x.has_unit_domain():
         return DepthMeasure.uniform(x, depth, max_cells)
-    return DepthMeasure.zero(x, depth)
+    return DepthMeasure.zero(x, depth, max_cells)
 
 
 @dataclass
@@ -412,7 +409,7 @@ def check_constraint(coefficients: Sequence[int],
             factor = spectral_form(x, 1, d, max_ops).relabel(m)
             lhs = lhs.tensor(factor, max_ops)
         rhs = spectral_form(combined, 1, d, max_ops)
-        report.holds_per_depth.append(lhs.support() <= rhs.support())
+        report.holds_per_depth.append(not (lhs.support() & ~rhs.support()).any())
         if d == depth:
             report.lhs_zero = lhs.is_zero
             report.rhs_zero = rhs.is_zero

@@ -161,3 +161,70 @@ def test_tensor_cap():
     mu = DepthMeasure.uniform(x, 2)
     with pytest.raises(CapExceeded):
         mu.tensor(mu, max_ops=100)
+
+
+def test_every_measure_respects_the_cell_cap():
+    # 5 slots at depth 10 is 2**50 cells: refused before any allocation,
+    # for the zero measure as for the uniform one
+    with pytest.raises(CapExceeded):
+        spectral.spectral_form(IndexFunction.of({2: 5}), 1, 10)
+    with pytest.raises(CapExceeded):
+        spectral.spectral_form(IndexFunction.of({1: 5}), 1, 10)
+    with pytest.raises(CapExceeded):
+        DepthMeasure(IndexFunction.of({1: 21}), 1, {})
+    x = IndexFunction.of({2: 2})
+    assert DepthMeasure.zero(x, 2, max_cells=16).is_zero
+    with pytest.raises(CapExceeded):
+        DepthMeasure.zero(x, 2, max_cells=15)
+    # a tensor of zero factors stays under the same cap as its result grid
+    z = DepthMeasure.zero(IndexFunction.of({2: 1}), 2)
+    assert z.tensor(z, max_ops=16).is_zero
+    with pytest.raises(CapExceeded):
+        z.tensor(z, max_ops=15)
+
+
+def test_tensor_ops_cap_counts_nonzero_cells():
+    x = index_pq(1, 0)
+    mu = DepthMeasure.uniform(x, 1)
+    assert mu.tensor(mu, max_ops=8).mass() == 2  # 2 pairings x 2 x 2 cells
+    with pytest.raises(CapExceeded):
+        mu.tensor(mu, max_ops=7)
+    point = DepthMeasure(x, 1, {(make_word("1"),): Fraction(1)})
+    assert point.tensor(mu, max_ops=4).mass() == 2  # 2 x 1 x 2
+
+
+def test_counts_stay_within_int64():
+    x = index_pq(1, 0)
+    a, b = (make_word("0"),), (make_word("1"),)
+    big = DepthMeasure(x, 1, {a: 2**62})
+    assert big.mass() == 2**62
+    with pytest.raises(CapExceeded):
+        DepthMeasure(x, 1, {a: 2**63})
+    with pytest.raises(CapExceeded):  # each count fits, their sum does not
+        DepthMeasure(x, 1, {a: 2**62, b: 2**62})
+    with pytest.raises(CapExceeded):  # 2**30 over the common denominator 2**40
+        DepthMeasure(x, 1, {a: Fraction(1, 2**40), b: 2**30})
+    with pytest.raises(CapExceeded):
+        big.scaled_mass(2)
+    with pytest.raises(CapExceeded):
+        DepthMeasure.zero(x, 1).scaled_mass(2**63)
+    # the tensor checks pairings * counts * counts before any work
+    fits = DepthMeasure(x, 1, {a: 2**30})
+    assert fits.tensor(fits).mass() == 2 * 2**60
+    over = DepthMeasure(x, 1, {a: 2**31})
+    with pytest.raises(CapExceeded):
+        over.tensor(over)
+
+
+def test_dense_layout_and_normal_form():
+    x = index_pq(1, 1)  # slots (-1, 0), (1, 0)
+    mu = DepthMeasure(x, 2, {(make_word("10"), make_word("01")): Fraction(3, 4),
+                             (make_word("00"), make_word("11")): Fraction(1, 2)})
+    assert mu.counts.shape == (4, 4) and mu.den == 4
+    assert mu.counts[2, 1] == 3 and mu.counts[0, 3] == 2
+    assert mu.counts.sum() == 5
+    assert not mu.counts.flags.writeable
+    assert DepthMeasure.uniform(x, 2).scaled_mass(16).den == 1
+    assert mu.support().sum() == 2
+    with pytest.raises(ValueError):
+        DepthMeasure(x, 1, {((2,), (0,)): Fraction(1)})
