@@ -6,19 +6,27 @@ so every finite tree satisfies the defining constraint up to float rounding.
 A torus step acts by multiplying each leaf by the step's value on its cell,
 after which the interior is recomputed.
 
-Streams come from the counter-based Philox generator keyed by the seed, and
-batches always consume the stream in sample order with a fixed internal batch
-size, so estimates are bit-reproducible for a given (seed, samples, depth).
-Polynomial evaluation is vectorized: a variable above the leaves is read off
-as the normalized sum of its leaf block, which agrees with the pairwise
-averaging up to rounding.
+Streams come from the counter-based Philox generator keyed by the seed and
+are drawn sample-major: sample i takes the next 2 * 2**depth normals, leaf by
+leaf as (real, imaginary) pairs.  Sample i therefore does not depend on how
+many samples are drawn at once: ``sample_trees`` and ``estimate_many`` see
+the same trees for a seed, an estimate over n samples averages the first n
+of them, and estimates are bit-reproducible for a given (seed, samples,
+depth).
+
+Polynomial evaluation is vectorized over fixed-size blocks of samples.  A
+variable above the leaves is read off as the normalized sum of its leaf
+block, which agrees with the pairwise averaging up to rounding.  Each block
+builds the powers of every variable and of its conjugate once, then each
+distinct factor z^a conj(z)^b once, and forms every monomial as its
+coefficient times the product of its factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +35,8 @@ from .gauss import GaussPoly
 from .words import TorusStep, Word, all_words, word_index
 
 MAX_SAMPLE_DEPTH = 16
-_BATCH = 1 << 14
+# samples drawn and evaluated together
+_BLOCK = 1 << 12
 
 _SQRT_HALF = 2.0 ** -0.5
 
@@ -62,18 +71,28 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _draw_leaves(gen: np.random.Generator, count: int, width: int) -> np.ndarray:
-    re = gen.standard_normal((count, width))
-    im = gen.standard_normal((count, width))
-    return (re + 1j * im) * _SQRT_HALF
+def _draw_leaves(gen: np.random.Generator, leaves: np.ndarray) -> None:
+    """Fill a C-contiguous (samples, leaves) complex array from the stream.
+
+    The draw is sample-major, each leaf taking the next two normals as its
+    real and imaginary parts, so sample i is the same however many samples
+    one call fills.
+    """
+    gen.standard_normal(out=leaves.view(np.float64))
+    leaves *= _SQRT_HALF
+
+
+def _draw_tree(gen: np.random.Generator, depth: int) -> TreeSample:
+    leaves = np.empty((1, 2 ** depth), dtype=complex)
+    _draw_leaves(gen, leaves)
+    return TreeSample(depth, _interior_from_leaves(depth, leaves[0]))
 
 
 def sample_tree(depth: int, seed: int = 0) -> TreeSample:
     """One sample at the given depth, deterministic in the seed."""
     if depth < 0 or depth > MAX_SAMPLE_DEPTH:
         raise CapExceeded(f"sample depth outside 0..{MAX_SAMPLE_DEPTH}")
-    leaves = _draw_leaves(_generator(seed), 1, 2 ** depth)[0]
-    return TreeSample(depth, _interior_from_leaves(depth, leaves))
+    return _draw_tree(_generator(seed), depth)
 
 
 def sample_trees(depth: int, count: int, seed: int = 0) -> Iterator[TreeSample]:
@@ -81,10 +100,8 @@ def sample_trees(depth: int, count: int, seed: int = 0) -> Iterator[TreeSample]:
     if depth < 0 or depth > MAX_SAMPLE_DEPTH:
         raise CapExceeded(f"sample depth outside 0..{MAX_SAMPLE_DEPTH}")
     gen = _generator(seed)
-    width = 2 ** depth
     for _ in range(count):
-        leaves = _draw_leaves(gen, 1, width)[0]
-        yield TreeSample(depth, _interior_from_leaves(depth, leaves))
+        yield _draw_tree(gen, depth)
 
 
 def act(g: TorusStep, tree: TreeSample) -> TreeSample:
@@ -112,10 +129,49 @@ def _variable_columns(leaves: np.ndarray, depth: int,
             raise ValueError("variable deeper than the sampled depth")
         lo = word_index(w) << gap
         if gap == 0:
-            cols[w] = leaves[:, lo]
+            cols[w] = np.ascontiguousarray(leaves[:, lo])
         else:
             cols[w] = leaves[:, lo:lo + (1 << gap)].sum(axis=1) * (2.0 ** (-gap / 2.0))
     return cols
+
+
+Factor = Tuple[Word, int, int]
+
+
+def _plan(polys: Sequence[GaussPoly]) -> Tuple[List[Factor], List[list]]:
+    """The distinct factors (w, a, b) of the polynomials' monomials in order
+    of first use, and each polynomial as (coefficient, factor positions)."""
+    index: Dict[Factor, int] = {}
+    plans = [[(complex(c), tuple(index.setdefault(e, len(index)) for e in mono.exps))
+              for mono, c in p.terms.items()] for p in polys]
+    return list(index), plans
+
+
+def _factor_values(cols: Dict[Word, np.ndarray],
+                   factors: Sequence[Factor]) -> List[np.ndarray]:
+    """z_w^a conj(z_w)^b for each factor, over the block's samples.
+
+    The powers of z_w and of conj(z_w) come from repeated multiplication, so
+    a factor's values do not depend on which other factors are built.
+    """
+    top: Dict[Word, Tuple[int, int]] = {}
+    for w, a, b in factors:
+        ta, tb = top.get(w, (0, 0))
+        top[w] = (max(ta, a), max(tb, b))
+    powers: Dict[Word, Tuple[list, list]] = {}
+    for w, (ta, tb) in top.items():
+        z = cols[w]
+        up, down = [None, z], [None, np.conj(z) if tb else None]
+        for _ in range(2, ta + 1):
+            up.append(up[-1] * z)
+        for _ in range(2, tb + 1):
+            down.append(down[-1] * down[1])
+        powers[w] = (up, down)
+    table = []
+    for w, a, b in factors:
+        up, down = powers[w]
+        table.append(down[b] if not a else up[a] if not b else up[a] * down[b])
+    return table
 
 
 @dataclass
@@ -139,7 +195,11 @@ def estimate(poly: GaussPoly, samples: int, depth: int, seed: int = 0,
 
 def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
                   seed: int = 0, step: Optional[TorusStep] = None) -> list:
-    """Estimates for several polynomials over one shared sample stream."""
+    """Estimates for several polynomials over one shared sample stream.
+
+    Each polynomial's estimate is bit-identical to the one ``estimate`` gives
+    for it alone, whatever else shares the call and in whatever order.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     if depth < 0 or depth > MAX_SAMPLE_DEPTH:
@@ -147,46 +207,50 @@ def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
     variables = sorted({w for p in polys for w in p.variables()})
     if any(len(w) > depth for w in variables):
         raise ValueError("variable deeper than the sampled depth")
-    coeffs = [[(m, complex(c)) for m, c in p.terms.items()] for p in polys]
     phases = _leaf_phases(step, depth)
+    if not polys:
+        return []
+    factors, plans = _plan(polys)
     gen = _generator(seed)
-    width = 2 ** depth
+    block = np.empty((min(_BLOCK, samples), 2 ** depth), dtype=complex)
+    vals = np.empty(len(block), dtype=complex)
+    scratch = np.empty(len(block), dtype=complex)
     sums = [0.0 + 0.0j for _ in polys]
-    # running (mean, M2) over the samples seen so far, merged batch by batch
+    # running (mean, M2) over the samples seen so far, merged block by block
     # with the pairwise update of Chan, Golub and LeVeque (1983).  M2 is the
     # sum of |x - mean|^2, which keeps the precision that
     # sum |x|^2 - n |mean|^2 loses to cancellation when |mean| is large.
     means = [0.0 + 0.0j for _ in polys]
     m2s = [0.0 for _ in polys]
     seen = 0
-    remaining = samples
-    while remaining:
-        batch = min(_BATCH, remaining)
-        leaves = _draw_leaves(gen, batch, width)
+    while seen < samples:
+        n = min(len(block), samples - seen)
+        leaves = block[:n]
+        _draw_leaves(gen, leaves)
         if phases is not None:
-            leaves = leaves * phases
-        cols = _variable_columns(leaves, depth, variables)
-        for i, terms in enumerate(coeffs):
-            vals = np.zeros(batch, dtype=complex)
-            for mono, c in terms:
-                term = np.full(batch, c, dtype=complex)
-                for w, a, b in mono.exps:
-                    z = cols[w]
-                    if a:
-                        term = term * z ** a
-                    if b:
-                        term = term * np.conj(z) ** b
-                vals = vals + term
-            # numpy's pairwise summation keeps the batch totals stable
-            total = complex(vals.sum())
+            leaves *= phases
+        table = _factor_values(_variable_columns(leaves, depth, variables), factors)
+        v, tmp = vals[:n], scratch[:n]
+        for i, plan in enumerate(plans):
+            v.fill(0)
+            for c, idx in plan:
+                if not idx:
+                    v += c
+                    continue
+                np.multiply(table[idx[0]], c, out=tmp)
+                for j in idx[1:]:
+                    np.multiply(tmp, table[j], out=tmp)
+                v += tmp
+            # numpy's pairwise summation keeps the block totals stable
+            total = complex(v.sum())
             sums[i] += total
-            b_mean = total / batch
-            b_m2 = float(np.square(np.abs(vals - b_mean)).sum())
+            b_mean = total / n
+            np.subtract(v, b_mean, out=tmp)
+            b_m2 = float(np.square(np.abs(tmp)).sum())
             delta = b_mean - means[i]
-            means[i] += delta * (batch / (seen + batch))
-            m2s[i] += b_m2 + abs(delta) ** 2 * (seen * batch / (seen + batch))
-        seen += batch
-        remaining -= batch
+            means[i] += delta * (n / (seen + n))
+            m2s[i] += b_m2 + abs(delta) ** 2 * (seen * n / (seen + n))
+        seen += n
     out = []
     for i in range(len(polys)):
         var = m2s[i] / max(samples - 1, 1)

@@ -1,0 +1,77 @@
+"""The per-monomial Monte Carlo evaluator, kept as a differential oracle.
+
+Before the power tables in ``treefock.montecarlo``, ``estimate_many`` built
+every monomial afresh for every polynomial: a coefficient-filled array times
+``z ** a * np.conj(z) ** b`` for each of its variables, in batches of 2**14
+samples.  The function below is that loop, unchanged apart from drawing each
+batch through the package's sample-major ``_draw_leaves``, so that both
+evaluators read the same stream.  Tests check the block evaluator against it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from treefock.errors import CapExceeded
+from treefock.gauss import GaussPoly
+from treefock.montecarlo import (MAX_SAMPLE_DEPTH, Estimate, _draw_leaves, _generator,
+                                 _leaf_phases, _variable_columns)
+from treefock.words import TorusStep
+
+_BATCH = 1 << 14
+
+
+def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
+                  seed: int = 0, step: Optional[TorusStep] = None) -> list:
+    """Estimates for several polynomials over one shared sample stream."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if depth < 0 or depth > MAX_SAMPLE_DEPTH:
+        raise CapExceeded(f"sample depth outside 0..{MAX_SAMPLE_DEPTH}")
+    variables = sorted({w for p in polys for w in p.variables()})
+    if any(len(w) > depth for w in variables):
+        raise ValueError("variable deeper than the sampled depth")
+    coeffs = [[(m, complex(c)) for m, c in p.terms.items()] for p in polys]
+    phases = _leaf_phases(step, depth)
+    gen = _generator(seed)
+    width = 2 ** depth
+    sums = [0.0 + 0.0j for _ in polys]
+    means = [0.0 + 0.0j for _ in polys]
+    m2s = [0.0 for _ in polys]
+    seen = 0
+    remaining = samples
+    while remaining:
+        batch = min(_BATCH, remaining)
+        leaves = np.empty((batch, width), dtype=complex)
+        _draw_leaves(gen, leaves)
+        if phases is not None:
+            leaves = leaves * phases
+        cols = _variable_columns(leaves, depth, variables)
+        for i, terms in enumerate(coeffs):
+            vals = np.zeros(batch, dtype=complex)
+            for mono, c in terms:
+                term = np.full(batch, c, dtype=complex)
+                for w, a, b in mono.exps:
+                    z = cols[w]
+                    if a:
+                        term = term * z ** a
+                    if b:
+                        term = term * np.conj(z) ** b
+                vals = vals + term
+            total = complex(vals.sum())
+            sums[i] += total
+            b_mean = total / batch
+            b_m2 = float(np.square(np.abs(vals - b_mean)).sum())
+            delta = b_mean - means[i]
+            means[i] += delta * (batch / (seen + batch))
+            m2s[i] += b_m2 + abs(delta) ** 2 * (seen * batch / (seen + batch))
+        seen += batch
+        remaining -= batch
+    out = []
+    for i in range(len(polys)):
+        var = m2s[i] / max(samples - 1, 1)
+        out.append(Estimate(sums[i] / samples, math.sqrt(var / samples), samples))
+    return out

@@ -103,3 +103,35 @@ def test_depth_validation():
         montecarlo.estimate(p, 100, depth=30, seed=0)
     with pytest.raises(ValueError):
         montecarlo.estimate(p, 0, depth=3, seed=0)
+
+
+def _tree_value(poly, tree):
+    return sum(complex(c) * m.evaluate(tree.values) for m, c in poly.terms.items())
+
+
+def test_estimate_averages_a_prefix_of_the_tree_stream():
+    # sample i is the same tree in sample_trees and estimate_many, however
+    # many samples are asked for and however they are blocked
+    p = (z(make_word("")) * z(make_word("01")).conj()
+         + 2 * z(make_word("1")) * z(make_word("1")) * z(make_word("1")).conj()
+         + GaussPoly.constant(3))
+    for n in (1, 2, 3, montecarlo._BLOCK + 1):
+        trees = montecarlo.sample_trees(3, n, seed=19)
+        exact = sum(_tree_value(p, t) for t in trees) / n
+        est = montecarlo.estimate(p, n, depth=3, seed=19)
+        assert abs(est.mean - exact) <= 1e-12 * max(1.0, abs(exact)), n
+
+
+def test_estimate_many_of_nothing_validates_and_draws_nothing(monkeypatch):
+    def no_stream(seed):
+        raise AssertionError("drew a stream for no polynomials")
+
+    monkeypatch.setattr(montecarlo, "_generator", no_stream)
+    assert montecarlo.estimate_many([], 10**6, depth=4, seed=0) == []
+    with pytest.raises(ValueError):
+        montecarlo.estimate_many([], 0, depth=4, seed=0)
+    with pytest.raises(CapExceeded):
+        montecarlo.estimate_many([], 100, depth=30, seed=0)
+    with pytest.raises(ValueError):
+        montecarlo.estimate_many([], 100, depth=1, seed=0,
+                                 step=TorusStep.from_eighth_root_indices([0, 1, 2, 3]))
