@@ -8,7 +8,7 @@ and their tensor calculus, ``montecarlo`` cross-checks moments by sampling,
 and ``suites`` bundles the verification runs behind the ``treefock`` CLI.
 """
 
-from . import fock, gauss, montecarlo, scalars, spectral, steps, suites, words
+from . import combination, fock, gauss, montecarlo, scalars, spectral, steps, suites, words
 from .errors import CapExceeded
 from .scalars import EXACT, FLOAT, ExactComplex, QSqrt2
 from .spectral import DepthMeasure, IndexFunction, index_pq

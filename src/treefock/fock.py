@@ -24,6 +24,7 @@ import math
 from typing import Dict, Mapping
 
 from . import scalars
+from .combination import Combination
 from .errors import CapExceeded
 from .scalars import EXACT, Scalar
 from .words import MAX_WORD_LENGTH, AdmissibleWord, TorusStep
@@ -32,10 +33,10 @@ from .words import MAX_WORD_LENGTH, AdmissibleWord, TorusStep
 DEFAULT_MAX_DEGREE = 5
 
 
-class FockVector:
+class FockVector(Combination):
     """A sparse vector: admissible word -> coefficient, all words at one level."""
 
-    __slots__ = ("level", "terms")
+    __slots__ = ("level",)
 
     def __init__(self, level: int, terms: Mapping[AdmissibleWord, Scalar],
                  max_degree: int = DEFAULT_MAX_DEGREE) -> None:
@@ -51,44 +52,8 @@ class FockVector:
         self.level = level
         self.terms = cleaned
 
-    def __getitem__(self, w: AdmissibleWord) -> Scalar:
-        return self.terms.get(w, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def backend(self) -> str:
-        return scalars.backend_of_values(self.terms.values())
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        if other.level != self.level:
-            raise ValueError("cannot add vectors at different levels")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return FockVector(self.level, out, max_degree=MAX_WORD_LENGTH)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: Scalar) -> "FockVector":
-        if (isinstance(scalar, (float, complex)) and self.terms
-                and self.backend() == EXACT):
-            raise TypeError("float scalar times an exact vector")
-        return FockVector(self.level,
-                          {w: scalar * c for w, c in self.terms.items()},
-                          max_degree=MAX_WORD_LENGTH)
-
-    def __neg__(self) -> "FockVector":
-        return (-1) * self
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self.level == other.level and self.terms == other.terms
+    def _frame(self) -> tuple:
+        return (self.level,)
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*{w}" for w, c in sorted(
@@ -103,19 +68,7 @@ def basic(word: AdmissibleWord, backend: str = EXACT) -> FockVector:
 
 def inner(u: FockVector, v: FockVector) -> Scalar:
     """<u, v>, linear in u and conjugate-linear in v."""
-    if u.level != v.level:
-        raise ValueError("inner product needs equal levels")
-    if u.terms and v.terms and u.backend() != v.backend():
-        raise TypeError("inner product of an exact and a float vector")
-    small, big = (u.terms, v.terms) if len(u.terms) <= len(v.terms) else (v.terms, u.terms)
-    acc: Scalar = 0
-    for w, c in small.items():
-        d = big.get(w)
-        if d is None:
-            continue
-        cu, cv = (c, d) if small is u.terms else (d, c)
-        acc = acc + cu * scalars.conj(cv) * w.gram_diagonal()
-    return acc
+    return u._pair(v, AdmissibleWord.gram_diagonal)
 
 
 def norm2(v: FockVector) -> Scalar:
@@ -187,6 +140,4 @@ def act(g: TorusStep, v: FockVector) -> FockVector:
         raise ValueError("step is finer than the vector's level")
     if v.terms and g.backend != v.backend():
         raise TypeError(f"{g.backend} step cannot act on a {v.backend()} vector")
-    return FockVector(v.level,
-                      {w: phase_of(g, w) * c for w, c in v.terms.items()},
-                      max_degree=MAX_WORD_LENGTH)
+    return v._like({w: phase_of(g, w) * c for w, c in v.terms.items()})

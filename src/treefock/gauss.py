@@ -27,13 +27,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from . import scalars
+from .combination import Combination
 from .errors import CapExceeded
 from .fock import FockVector
-from .scalars import EXACT, Scalar
-from .words import MAX_WORD_LENGTH, AdmissibleWord, TorusStep, Word, all_words, word_key
+from .scalars import Scalar
+from .words import MAX_WORD_LENGTH, TorusStep, Word, all_words, word_key
 
 # Bound on the number of monomials ``refine`` may produce.
 DEFAULT_MAX_TERMS = 200_000
@@ -121,13 +122,10 @@ class GaussMonomial:
         return "*".join(parts)
 
 
-class GaussPoly:
+class GaussPoly(Combination):
     """A sparse polynomial: monomial -> coefficient."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[GaussMonomial, Scalar]) -> None:
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "GaussPoly":
@@ -142,13 +140,6 @@ class GaussPoly:
         mono = GaussMonomial.of({w: (0, 1) if barred else (1, 0)})
         return cls({mono: coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def backend(self) -> str:
-        return scalars.backend_of_values(self.terms.values())
-
     def max_word_length(self) -> int:
         return max((m.max_word_length() for m in self.terms), default=0)
 
@@ -158,26 +149,6 @@ class GaussPoly:
 
     def degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
-
-    def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        if not isinstance(other, GaussPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return GaussPoly(out)
-
-    def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        return self + other.scaled(-1)
-
-    def scaled(self, c: Scalar) -> "GaussPoly":
-        return GaussPoly({m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c: Scalar) -> "GaussPoly":
-        return self.scaled(c)
-
-    def __neg__(self) -> "GaussPoly":
-        return self.scaled(-1)
 
     def __mul__(self, other: "GaussPoly") -> "GaussPoly":
         if not isinstance(other, GaussPoly):
@@ -192,30 +163,12 @@ class GaussPoly:
     def conj(self) -> "GaussPoly":
         return GaussPoly({m.conj(): scalars.conj(c) for m, c in self.terms.items()})
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaussPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
     def evaluate(self, assignment: Mapping[Word, object]):
         out = 0
         for m, c in self.terms.items():
             val = m.evaluate(assignment)
             out = out + (complex(c) if not isinstance(c, (int, float, complex)) else c) * val
         return out
-
-    def to_json_dict(self) -> dict:
-        rows = []
-        for m, c in sorted(self.terms.items(),
-                           key=lambda kv: (kv[0].degree, kv[0].exps)):
-            rows.append({
-                "monomial": [{"word": "".join(map(str, w)), "plain": a, "conj": b}
-                             for w, a, b in m.exps],
-                "coefficient": scalars.to_jsonable(c),
-            })
-        return {"terms": rows}
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*{m}" for m, c in sorted(
@@ -297,6 +250,7 @@ def moment(p: GaussPoly) -> Scalar:
 
 def inner(p: GaussPoly, q: GaussPoly) -> Scalar:
     """<p, q> = E[p * conj(q)], refining both to a common level first."""
+    p._check_backend(q)
     level = max(p.max_word_length(), q.max_word_length())
     return moment(refine(p, level) * refine(q, level).conj())
 

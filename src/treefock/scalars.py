@@ -469,20 +469,3 @@ def sqrt_in_tower(q: Fraction) -> Optional[ExactComplex]:
 def approx_equal(x: Scalar, y: Scalar, tol: float = 1e-9) -> bool:
     return abs(complex(x) - complex(y)) <= tol
 
-
-def to_jsonable(x: Scalar) -> object:
-    """A JSON-friendly rendering of a scalar from either backend.
-
-    Exact values, rationals included, render as ``{"re": [a, b], "im": [c,
-    d]}`` with string coordinates of a + b*sqrt2 + (c + d*sqrt2)*i, so one
-    exact-backend object uses one encoding whatever type each value has.
-    """
-    if isinstance(x, (int, Fraction)):
-        x = ExactComplex(x)
-    if isinstance(x, ExactComplex):
-        den = x.den
-        return {"re": [str(Fraction(x.a, den)), str(Fraction(x.b, den))],
-                "im": [str(Fraction(x.c, den)), str(Fraction(x.d, den))]}
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    return x

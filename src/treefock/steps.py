@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
 from . import scalars
+from .combination import Combination
 from .errors import CapExceeded
 from .fock import FockVector
 from .scalars import Scalar
@@ -67,16 +68,16 @@ class GridCell:
                         tuple(self.right[i] for i in right_perm))
 
 
-class StepFunction:
+class StepFunction(Combination):
     """A finite combination of same-shape cell indicators, divided by
     sqrt(p! q!) for the block shape (p, q)."""
 
-    __slots__ = ("degrees", "depth", "values")
+    __slots__ = ("degrees", "depth")
 
     def __init__(self, degrees: Tuple[int, int], depth: int,
-                 values: Mapping[GridCell, Scalar]) -> None:
+                 terms: Mapping[GridCell, Scalar]) -> None:
         cleaned: Dict[GridCell, Scalar] = {}
-        for cell, val in values.items():
+        for cell, val in terms.items():
             if cell.depth != depth:
                 raise ValueError("cell at the wrong depth")
             if cell.degrees != degrees:
@@ -86,63 +87,23 @@ class StepFunction:
             cleaned[cell] = val
         self.degrees = degrees
         self.depth = depth
-        self.values = cleaned
+        self.terms = cleaned
 
-    @classmethod
-    def zero(cls, degrees: Tuple[int, int], depth: int) -> "StepFunction":
-        return cls(degrees, depth, {})
+    def _frame(self) -> tuple:
+        return (self.degrees, self.depth)
 
+    # Only benchmarks/tracing.py reads this name, to count cells; drop it
+    # once the tracer reads ``terms``.
     @property
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def scaled(self, c: Scalar) -> "StepFunction":
-        return StepFunction(self.degrees, self.depth,
-                            {cell: c * v for cell, v in self.values.items()})
-
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        if other.degrees != self.degrees:
-            raise ValueError("cannot add step functions of different block shapes")
-        if other.depth != self.depth:
-            raise ValueError("cannot add step functions at different depths")
-        merged = dict(self.values)
-        for cell, v in other.values.items():
-            merged[cell] = merged.get(cell, 0) + v
-        return StepFunction(self.degrees, self.depth, merged)
-
-    def __sub__(self, other: "StepFunction") -> "StepFunction":
-        return self + other.scaled(-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepFunction):
-            return NotImplemented
-        return (self.degrees == other.degrees and self.depth == other.depth
-                and self.values == other.values)
-
-    __hash__ = None  # mutable-by-convention container
+    def values(self) -> Dict[GridCell, Scalar]:
+        return self.terms
 
     def inner(self, other: "StepFunction") -> Scalar:
         """Integral of self * conj(other) over the product grid."""
-        if self.degrees != other.degrees:
-            raise ValueError("inner product needs equal block shapes")
-        if self.depth != other.depth:
-            raise ValueError("inner product needs equal depths")
-        acc: Scalar = 0
-        small, big = ((self.values, other.values)
-                      if len(self.values) <= len(other.values)
-                      else (other.values, self.values))
-        for cell, v in small.items():
-            w = big.get(cell)
-            if w is None:
-                continue
-            mine, theirs = (v, w) if small is self.values else (w, v)
-            acc = acc + mine * scalars.conj(theirs)
         p, q = self.degrees
         # cell mass times the shape constant 1/sqrt(p! q!) squared
         return Fraction(1, 2 ** (self.depth * (p + q))
-                        * math.factorial(p) * math.factorial(q)) * acc
+                        * math.factorial(p) * math.factorial(q)) * self._pair(other)
 
     def norm2(self) -> Scalar:
         return self.inner(self)
@@ -150,7 +111,7 @@ class StepFunction:
     def refine(self) -> "StepFunction":
         """The same function written on the grid one level deeper."""
         out: Dict[GridCell, Scalar] = {}
-        for cell, v in self.values.items():
+        for cell, v in self.terms.items():
             for child in cell.children():
                 out[child] = v
         return StepFunction(self.degrees, self.depth + 1, out)
@@ -161,41 +122,28 @@ class StepFunction:
         if g.level > self.depth:
             raise ValueError("step is finer than the function's grid")
         out: Dict[GridCell, Scalar] = {}
-        for cell, v in self.values.items():
+        for cell, v in self.terms.items():
             ph: Scalar = 1
             for w in cell.left:
                 ph = ph * g.value_at(w)
             for w in cell.right:
                 ph = ph * g.inverse_value_at(w)
             out[cell] = ph * v
-        return StepFunction(self.degrees, self.depth, out)
+        return self._like(out)
 
     def is_block_symmetric(self) -> bool:
         """Invariance of the values under permuting each block separately."""
         p, q = self.degrees
-        for cell, v in self.values.items():
+        for cell, v in self.terms.items():
             for lp in itertools.permutations(range(p)):
                 for rp in itertools.permutations(range(q)):
-                    if self.values.get(cell.block_permuted(lp, rp)) != v:
+                    if self.terms.get(cell.block_permuted(lp, rp)) != v:
                         return False
         return True
 
-    def to_json_dict(self) -> dict:
-        cells = sorted(self.values.items(),
-                       key=lambda kv: (kv[0].left, kv[0].right))
-        return {
-            "degrees": list(self.degrees),
-            "depth": self.depth,
-            "cells": [{
-                "left": ["".join(map(str, w)) for w in cell.left],
-                "right": ["".join(map(str, w)) for w in cell.right],
-                "value": scalars.to_jsonable(v),
-            } for cell, v in cells],
-        }
-
     def __repr__(self) -> str:
         return (f"StepFunction(degrees={self.degrees}, depth={self.depth}, "
-                f"cells={len(self.values)})")
+                f"cells={len(self.terms)})")
 
 
 class StepSum:
@@ -212,10 +160,6 @@ class StepSum:
                 cleaned[key] = f
         self.components = cleaned
 
-    @classmethod
-    def zero(cls) -> "StepSum":
-        return cls({})
-
     @property
     def is_zero(self) -> bool:
         return not self.components
@@ -224,7 +168,7 @@ class StepSum:
     def terms(self) -> Dict[GridCell, Scalar]:
         """Every stored cell value, keyed by cell; a cell fixes its shape."""
         return {cell: v for f in self.components.values()
-                for cell, v in f.values.items()}
+                for cell, v in f.terms.items()}
 
     @staticmethod
     def _align(a: StepFunction, b: StepFunction) -> Tuple[StepFunction, StepFunction]:
@@ -286,10 +230,6 @@ class StepSum:
 
     def act(self, g: TorusStep) -> "StepSum":
         return StepSum({k: f.act(g) for k, f in self.components.items()})
-
-    def to_json_dict(self) -> dict:
-        return {"components": [self.components[k].to_json_dict()
-                               for k in sorted(self.components)]}
 
     def __repr__(self) -> str:
         return f"StepSum({sorted(self.components)})"

@@ -520,7 +520,7 @@ def _exponent_grid(variables: int, degree_cap: int):
 
 # ----------------------------------------------------------------- coherence
 
-def coherence_suites(cfg: RunConfig, full_gram: bool = False) -> List[SuiteReport]:
+def coherence_suites(cfg: RunConfig) -> List[SuiteReport]:
     rng = random.Random(cfg.seed + 3)
     reports = []
 
@@ -528,7 +528,7 @@ def coherence_suites(cfg: RunConfig, full_gram: bool = False) -> List[SuiteRepor
                     "refining a realized vector equals realizing its embedding")
     for level in range(1, cfg.level_max + 1):
         basis = _basis(level, cfg.degree_max)
-        if level >= 2 and not full_gram:
+        if level >= 2:
             basis = tuple(basis[i] for i in
                           sorted(rng.sample(range(len(basis)), min(120, len(basis)))))
         for w in basis:
@@ -546,7 +546,7 @@ def coherence_suites(cfg: RunConfig, full_gram: bool = False) -> List[SuiteRepor
                     "realizing the embedding")
     for level in range(1, cfg.level_max + 1):
         basis = _basis(level, cfg.degree_max)
-        if level >= 2 and not full_gram:
+        if level >= 2:
             basis = tuple(basis[i] for i in
                           sorted(rng.sample(range(len(basis)), min(120, len(basis)))))
         for w in basis:
@@ -572,7 +572,7 @@ def coherence_suites(cfg: RunConfig, full_gram: bool = False) -> List[SuiteRepor
         basis = _basis(level, cfg.degree_max)
         step_images = [steps.from_fock(fock.basic(w, cfg.backend)) for w in basis]
         poly_images = [gauss.from_fock(fock.basic(w, cfg.backend)) for w in basis]
-        if level == 1 or full_gram:
+        if level == 1:
             pairs = itertools.combinations_with_replacement(range(len(basis)), 2)
         else:
             pairs = ([(i, i) for i in range(len(basis))]

@@ -17,7 +17,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import scalars
@@ -105,10 +104,6 @@ class Symbol:
 
     def __str__(self) -> str:
         return word_text(self.word) + ("*" if self.barred else "")
-
-
-def sym(text: str) -> Symbol:
-    return Symbol.parse(text)
 
 
 def _distinct_permutations(items: Tuple) -> Iterator[Tuple]:
@@ -356,7 +351,3 @@ class TorusStep:
         return cls.from_angles([rng.uniform(0.0, 2.0 * math.pi)
                                 for _ in range(2 ** level)], FLOAT)
 
-
-def cell_mass(level: int, coordinates: int = 1) -> Fraction:
-    """Product measure of one depth-``level`` cell in ``coordinates`` factors."""
-    return Fraction(1, 2 ** (level * coordinates))

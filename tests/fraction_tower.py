@@ -4,8 +4,8 @@ Before the integer form in ``treefock.scalars``, Q(sqrt2, i) was built from
 ``fractions.Fraction`` components: `QSqrt2` holds a + b*sqrt2 and
 `ExactComplex` holds two of them as real and imaginary parts.  The classes
 below are that implementation, unchanged, together with the
-`sqrt_in_tower` and `to_jsonable` that went with them.  Tests check the
-integer form against them operation by operation.
+`sqrt_in_tower` that went with them.  Tests check the integer form against
+them operation by operation.
 """
 
 from __future__ import annotations
@@ -299,15 +299,3 @@ def sqrt_in_tower(q: Fraction) -> Optional[QSqrt2]:
         return QSqrt2(scaled)
     return QSqrt2(0, scaled)
 
-
-def to_jsonable(x: object) -> object:
-    """A JSON-friendly rendering of a scalar from either backend."""
-    if isinstance(x, ExactComplex):
-        return {"re": [str(x.re.a), str(x.re.b)], "im": [str(x.im.a), str(x.im.b)]}
-    if isinstance(x, QSqrt2):
-        return {"re": [str(x.a), str(x.b)], "im": ["0", "0"]}
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    return x

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from treefock import scalars
 from treefock.errors import CapExceeded
+from treefock.steps import GridCell
 from treefock.words import (AdmissibleWord, Symbol, TorusStep, all_words,
-                            cell_mass, enumerate_admissible, make_word, sym,
-                            symbols_at, word_index, word_text)
+                            enumerate_admissible, make_word, symbols_at,
+                            word_index, word_text)
 
 bits = st.lists(st.integers(min_value=0, max_value=1), max_size=6)
 
@@ -27,7 +28,7 @@ def test_word_basics():
 
 
 def test_symbol_parse_and_order():
-    s = sym("01*")
+    s = Symbol.parse("01*")
     assert s.word == (0, 1) and s.barred
     assert str(s) == "01*"
     assert str(s.conj()) == "01"
@@ -162,5 +163,6 @@ def test_torus_step_multiplicative(i, j):
 
 
 def test_cell_mass():
-    assert cell_mass(1) == Fraction(1, 2)
-    assert cell_mass(2, 3) == Fraction(1, 64)
+    # product measure of one depth-level cell: 2^-(level * coordinates)
+    assert GridCell(1, ((0,),), ()).mass == Fraction(1, 2)
+    assert GridCell(2, ((0, 1), (1, 1)), ((0, 0),)).mass == Fraction(1, 64)
