@@ -5,14 +5,16 @@ linear combination of basis keys (admissible words, grid cells, monomials)
 with nonzero scalar coefficients.  `Combination` holds the ``terms`` dict
 and gives them one copy of the linear structure: sums, differences,
 negation, scaling, literal equality, and the sparse loop behind their inner
-products.
+products.  It also carries the torus action: a step multiplies each key by
+its character, ``g.character(key.charges())``.
 
 A subclass keeps its frame, what all of its keys share, in its own
 ``__slots__`` and returns it from ``_frame``: the level of a Fock vector,
 the block shape and depth of a step function, nothing for a polynomial.
-Sums and inner products need one frame and raise ValueError otherwise.  Exact and float scalars do not mix:
-a float scalar times an exact combination, and an inner product of an exact
-and a float combination, raise TypeError.
+Sums and inner products need one frame and raise ValueError otherwise.
+Exact and float scalars do not mix: a float scalar times an exact
+combination, an inner product of an exact and a float combination, and a
+step of one backend acting on a combination of the other raise TypeError.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Hashable, Mapping, Optional, TypeVar
 
 from . import scalars
 from .scalars import EXACT, Scalar
+from .words import TorusStep
 
 C = TypeVar("C", bound="Combination")
 
@@ -85,6 +88,14 @@ class Combination:
 
     def __neg__(self: C) -> C:
         return self.scaled(-1)
+
+    def acted(self: C, g: TorusStep) -> C:
+        """The step g acting on every key by its character."""
+        if self.terms and g.backend != self.backend():
+            raise TypeError(f"{g.backend} step cannot act on a "
+                            f"{self.backend()} combination")
+        return self._like({k: g.character(k.charges()) * c
+                           for k, c in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -8,8 +8,9 @@ factorials of its word.  Three operations act on vectors,
 * ``embed``    -- the isometry into level n+1 induced by splitting each basic
                   letter into the normalized sum of its two children,
 * ``act``      -- the unitary action of a torus step, which multiplies each
-                  basic vector by a phase (values for unmarked letters,
-                  conjugate values for marked ones),
+                  basic vector by the step's character of the word's
+                  charges (values for unmarked letters, conjugate values
+                  for marked ones),
 * ``inner``    -- the sesquilinear pairing, linear in the first argument.
 
 ``embed`` expands each distinct letter's multiplicity through a binomial
@@ -119,25 +120,8 @@ def embed_by_enumeration(v: FockVector, max_level: int = MAX_WORD_LENGTH) -> Foc
     return FockVector(v.level + 1, out)
 
 
-def phase_of(g: TorusStep, word: AdmissibleWord) -> Scalar:
-    """The multiplier the step g gives the basic vector of ``word``.
-
-    Unmarked letters contribute the step's value on their cell, marked
-    letters the inverse value; ``g`` may be coarser than the word's level.
-    """
-    if g.level > word.level:
-        raise ValueError("step is finer than the word's level")
-    out: Scalar = 1
-    for s, m in word.symbol_multiplicities().items():
-        val = g.inverse_value_at(s.word) if s.barred else g.value_at(s.word)
-        out = out * val ** m
-    return out
-
-
 def act(g: TorusStep, v: FockVector) -> FockVector:
     """The unitary action of a torus step on a vector at level >= g.level."""
     if g.level > v.level:
         raise ValueError("step is finer than the vector's level")
-    if v.terms and g.backend != v.backend():
-        raise TypeError(f"{g.backend} step cannot act on a {v.backend()} vector")
-    return v._like({w: phase_of(g, w) * c for w, c in v.terms.items()})
+    return v.acted(g)

@@ -11,7 +11,8 @@ diagonal rule
 and ``moment_by_pairings`` recomputes monomial moments by brute-force Wick
 matching as an independent oracle.  A Fock vector realizes as the product of
 its letters' variables (marked letters conjugated); a torus step acts by
-composition, multiplying each variable by the step's value on its cell.
+composition, multiplying each variable by the step's value on its cell, so
+a monomial picks up the step's character of its charges (w, a - b).
 
 ``expansion_remainder`` and the rate/expansion reports quantify how fast the
 diagonal part of a power's depth-l expansion decays: the mean-centered
@@ -27,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import scalars
 from .combination import Combination
@@ -73,6 +74,10 @@ class GaussMonomial:
     @property
     def degree(self) -> int:
         return sum(a + b for _, a, b in self.exps)
+
+    def charges(self) -> List[Tuple[Word, int]]:
+        """(w, a - b) per variable: z_w counts once, its conjugate minus once."""
+        return [(w, a - b) for w, a, b in self.exps]
 
     @property
     def is_constant(self) -> bool:
@@ -276,21 +281,10 @@ def from_fock(v: FockVector) -> GaussPoly:
 def koopman(g: TorusStep, p: GaussPoly, max_terms: int = DEFAULT_MAX_TERMS) -> GaussPoly:
     """Composition with the step's action: z_w picks up the factor g(w).
 
-    Auto-refines so every variable is at least as deep as the step.
+    Auto-refines so every variable is at least as deep as the step; each
+    monomial then picks up the step's character of its charges.
     """
-    level = max(g.level, p.max_word_length())
-    refined = refine(p, level, max_terms)
-    out: Dict[GaussMonomial, Scalar] = {}
-    for mono, coeff in refined.terms.items():
-        ph: Scalar = 1
-        for w, a, b in mono.exps:
-            val = g.value_at(w)
-            if a >= b:
-                ph = ph * val ** (a - b)
-            else:
-                ph = ph * scalars.conj(val) ** (b - a)
-        out[mono] = out.get(mono, 0) + ph * coeff
-    return GaussPoly(out)
+    return refine(p, max(g.level, p.max_word_length()), max_terms).acted(g)
 
 
 def moment_by_pairings(mono: GaussMonomial) -> int:

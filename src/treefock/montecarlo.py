@@ -106,9 +106,8 @@ def sample_trees(depth: int, count: int, seed: int = 0) -> Iterator[TreeSample]:
 
 def act(g: TorusStep, tree: TreeSample) -> TreeSample:
     """The boolean action: phase the leaves, then re-average upward."""
-    if g.level > tree.depth:
-        raise ValueError("step is finer than the sampled depth")
-    leaves = [complex(g.value_at(w)) * tree.values[w] for w in all_words(tree.depth)]
+    leaves = [complex(ph) * tree.values[w]
+              for ph, w in zip(_leaf_phases(g, tree.depth), all_words(tree.depth))]
     return TreeSample(tree.depth, _interior_from_leaves(tree.depth, leaves))
 
 

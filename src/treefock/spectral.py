@@ -41,7 +41,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from . import scalars
 from .errors import CapExceeded
 from .scalars import Scalar
 from .words import MAX_WORD_LENGTH, TorusStep, Word, all_words
@@ -343,14 +342,7 @@ def phase_at(x: IndexFunction, step: TorusStep, assignment: Assignment) -> Scala
     slots = x.slots()
     if len(assignment) != len(slots):
         raise ValueError("assignment with the wrong number of slots")
-    out: Scalar = 1
-    for (k, _), w in zip(slots, assignment):
-        val = step.value_at(w)
-        if k >= 0:
-            out = out * val ** k
-        else:
-            out = out * scalars.conj(val) ** (-k)
-    return out
+    return step.character((w, k) for (k, _), w in zip(slots, assignment))
 
 
 def spectral_form(x: IndexFunction, j: int = 1, depth: int = 1,

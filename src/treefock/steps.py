@@ -47,6 +47,10 @@ class GridCell:
     def degrees(self) -> Tuple[int, int]:
         return (len(self.left), len(self.right))
 
+    def charges(self) -> List[Tuple[Word, int]]:
+        """(w, 1) per left coordinate and (w, -1) per right coordinate."""
+        return [(w, 1) for w in self.left] + [(w, -1) for w in self.right]
+
     @property
     def mass(self) -> Fraction:
         return Fraction(1, 2 ** (self.depth * (len(self.left) + len(self.right))))
@@ -117,19 +121,11 @@ class StepFunction(Combination):
         return StepFunction(self.degrees, self.depth + 1, out)
 
     def act(self, g: TorusStep) -> "StepFunction":
-        """Multiply by the step's phase: values on the left block,
-        inverse values on the right block."""
+        """Multiply each cell by the step's character: values on the left
+        block, inverse values on the right block."""
         if g.level > self.depth:
             raise ValueError("step is finer than the function's grid")
-        out: Dict[GridCell, Scalar] = {}
-        for cell, v in self.terms.items():
-            ph: Scalar = 1
-            for w in cell.left:
-                ph = ph * g.value_at(w)
-            for w in cell.right:
-                ph = ph * g.inverse_value_at(w)
-            out[cell] = ph * v
-        return self._like(out)
+        return self.acted(g)
 
     def is_block_symmetric(self) -> bool:
         """Invariance of the values under permuting each block separately."""

@@ -708,7 +708,7 @@ def spectral_suites(cfg: RunConfig) -> List[SuiteReport]:
             for cell in steps.support_cells(w):
                 assignment = cell.right + cell.left
                 r.case(_close(cfg, spectral.phase_at(x, g, assignment),
-                              fock.phase_of(g, w)), word=w, cell=cell)
+                              g.character(w.charges())), word=w, cell=cell)
     reports.append(r)
 
     r = SuiteReport("spectral", "tensor-product",

@@ -8,7 +8,8 @@ product vectors of the Fock layer, and almost everything downstream is keyed
 by their canonical (sorted) form.
 
 A torus step assigns a unit scalar to each word of a fixed length: a step
-function into the circle, constant on the depth-n cells of Cantor space.
+function into the circle, constant on the depth-n cells of Cantor space; it
+acts on every basis key by ``TorusStep.character`` of the key's ``charges()``.
 """
 
 from __future__ import annotations
@@ -182,6 +183,12 @@ class AdmissibleWord:
         p = sum(1 for s in self.entries if not s.barred)
         return (p, len(self.entries) - p)
 
+    def charges(self) -> List[Tuple[Word, int]]:
+        """(word, m) for an unmarked word and (word, -m) for a marked one,
+        m its multiplicity."""
+        return [(s.word, -m if s.barred else m)
+                for s, m in self.symbol_multiplicities().items()]
+
     def gram_diagonal(self) -> int:
         """Product of the multiplicity factorials; the squared norm of the
         basic vector this word indexes."""
@@ -280,12 +287,17 @@ class TorusStep:
             raise ValueError("word shorter than the step's length")
         return self.values[word_index(w[: self.level])]
 
-    def __getitem__(self, w: Word) -> Scalar:
-        return self.value_at(w)
-
-    def inverse_value_at(self, w: Word) -> Scalar:
-        # Unit modulus makes the inverse a conjugate.
-        return scalars.conj(self.value_at(w))
+    def character(self, charges: Iterable[Tuple[Word, int]]) -> Scalar:
+        """prod g(w)^k over a key's (word, net exponent) charges; a negative
+        k takes the conjugate, which unit modulus makes the inverse."""
+        out: Scalar = 1
+        for w, k in charges:
+            if k:
+                val = self.value_at(w)
+                if k < 0:
+                    val, k = scalars.conj(val), -k
+                out = out * (val if k == 1 else val ** k)
+        return out
 
     def __mul__(self, other: "TorusStep") -> "TorusStep":
         if not isinstance(other, TorusStep):

@@ -111,6 +111,32 @@ def test_cap_exit_code(monkeypatch, capsys):
     assert "demonstration cap" in err
 
 
+def test_cap_still_writes_the_report(monkeypatch, tmp_path, capsys):
+    from treefock.errors import CapExceeded
+
+    def stub(cfg):
+        raise CapExceeded("demonstration cap")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-beta", stub)
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(["all", "--format", "json",
+                              "--output", str(target), *FAST], capsys)
+    assert code == cli.EXIT_CAP
+    assert out == "" and "demonstration cap" in err
+    report = json.loads(target.read_text())
+    schema = json.loads(resources.files("treefock").joinpath(
+        "data/report_schema.json").read_text())
+    jsonschema.validate(report, schema)
+    [capped] = [s for s in report["suites"] if s["check"] == cli.CAP_CHECK]
+    assert capped["suite"] == "verify-beta" and capped["passed"] is False
+    assert capped["failures"] == [{"cap": "demonstration cap"}]
+    assert report["summary"]["passed"] is False
+    # the commands after the capped one still ran
+    suites = {s["suite"] for s in report["suites"]}
+    assert {"coherence", "density", "spectral", "simulate"} <= suites
+    assert "beta" not in suites
+
+
 def test_all_command_covers_every_suite(capsys):
     code, out, _ = run_cli(["all", "--format", "json", *FAST], capsys)
     assert code == cli.EXIT_OK

@@ -11,7 +11,7 @@ from treefock.fock import FockVector
 from treefock.gauss import GaussMonomial, GaussPoly
 from treefock.scalars import ExactComplex, QSqrt2
 from treefock.steps import GridCell, StepFunction
-from treefock.words import AdmissibleWord, enumerate_admissible, make_word
+from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible, make_word
 
 W = AdmissibleWord.parse
 
@@ -85,6 +85,24 @@ def test_inner_product_of_exact_and_float_raises(kind, inner):
     with pytest.raises(TypeError):
         inner(uf, u)
     assert inner(uf, uf) == pytest.approx(complex(inner(u, u)))
+
+
+@pytest.mark.parametrize("kind, act", [
+    ("fock", fock.act),
+    ("step", lambda g, f: f.act(g)),
+    ("step", lambda g, f: steps.StepSum({f.degrees: f}).act(g)),
+    ("gauss", gauss.koopman),
+], ids=["fock.act", "StepFunction.act", "StepSum.act", "gauss.koopman"])
+def test_step_of_the_other_backend_cannot_act(kind, act):
+    u, uf = exact_and_float(kind)
+    g = TorusStep.from_eighth_root_indices([1, 2])
+    gf = TorusStep.from_angles([0.5, 2.0])
+    with pytest.raises(TypeError, match="step cannot act"):
+        act(gf, u)
+    with pytest.raises(TypeError, match="step cannot act"):
+        act(g, uf)
+    act(g, u)  # matching backends act as before
+    act(gf, uf)
 
 
 def test_adding_across_frames_raises():

@@ -104,7 +104,7 @@ def test_act_phase_frozen():
     g = TorusStep.from_eighth_root_indices([1, 2])
     w = W("0 0 1*")
     # two unmarked copies of 0 and one marked 1: w^2 * conj(w^2 at 1)
-    assert fock.phase_of(g, w) == EIGHTH_ROOTS[1] * EIGHTH_ROOTS[1] * EIGHTH_ROOTS[6]
+    assert g.character(w.charges()) == EIGHTH_ROOTS[1] * EIGHTH_ROOTS[1] * EIGHTH_ROOTS[6]
     v = fock.act(g, fock.basic(w))
     assert v[w] == EIGHTH_ROOTS[0]  # 2 + 2 - 4 = 0 eighths
     assert fock.norm2(v) == fock.norm2(fock.basic(w))
@@ -114,7 +114,7 @@ def test_act_on_deeper_words_uses_prefixes():
     g = TorusStep.from_eighth_root_indices([1, 3])
     w = W("00 01")
     # both letters sit under the 0 branch
-    assert fock.phase_of(g, w) == EIGHTH_ROOTS[2]
+    assert g.character(w.charges()) == EIGHTH_ROOTS[2]
 
 
 steps_strategy = st.lists(st.integers(min_value=0, max_value=7),

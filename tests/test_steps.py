@@ -109,7 +109,7 @@ def test_act_phase_constant_on_support():
     w = W("0 1 1")
     f = steps.from_fock(fock.basic(w))
     moved = f.act(g)
-    phase = fock.phase_of(g, w)
+    phase = g.character(w.charges())
     part, moved_part = f.components[(3, 0)], moved.components[(3, 0)]
     for cell, val in part.terms.items():
         assert moved_part.terms[cell] == phase * val

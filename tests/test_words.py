@@ -124,7 +124,7 @@ def test_torus_step_exact_values():
     assert g.level == 1
     assert g.value_at((0,)) == scalars.EIGHTH_ROOTS[1]
     assert g.value_at((1, 0)) == scalars.EIGHTH_ROOTS[6]  # prefix lookup
-    assert g.inverse_value_at((0,)) == scalars.EIGHTH_ROOTS[7]
+    assert g.character([((0,), -1)]) == scalars.EIGHTH_ROOTS[7]
     gh = g * g
     assert gh.value_at((0,)) == scalars.EIGHTH_ROOTS[2]
     assert (g * g.inverse()) == TorusStep.identity(1)
