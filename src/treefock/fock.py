@@ -31,7 +31,7 @@ from .scalars import EXACT, Scalar
 from .words import MAX_WORD_LENGTH, AdmissibleWord, TorusStep
 
 # Degree bound enforced at construction; desk-scale checks stay below it.
-DEFAULT_MAX_DEGREE = 5
+MAX_DEGREE = 5
 
 
 class FockVector(Combination):
@@ -39,14 +39,13 @@ class FockVector(Combination):
 
     __slots__ = ("level",)
 
-    def __init__(self, level: int, terms: Mapping[AdmissibleWord, Scalar],
-                 max_degree: int = DEFAULT_MAX_DEGREE) -> None:
+    def __init__(self, level: int, terms: Mapping[AdmissibleWord, Scalar]) -> None:
         cleaned: Dict[AdmissibleWord, Scalar] = {}
         for w, c in terms.items():
             if w.level != level:
                 raise ValueError(f"word {w} is not at level {level}")
-            if w.degree > max_degree:
-                raise CapExceeded(f"degree {w.degree} above the cap {max_degree}")
+            if w.degree > MAX_DEGREE:
+                raise CapExceeded(f"degree {w.degree} above the cap {MAX_DEGREE}")
             if c == 0:
                 continue
             cleaned[w] = c
@@ -76,7 +75,7 @@ def norm2(v: FockVector) -> Scalar:
     return inner(v, v)
 
 
-def embed(v: FockVector, max_level: int = MAX_WORD_LENGTH) -> FockVector:
+def embed(v: FockVector) -> FockVector:
     """The level n -> n+1 isometry.
 
     Each letter splits into (child0 + child1)/sqrt2; on a basic word the
@@ -85,8 +84,8 @@ def embed(v: FockVector, max_level: int = MAX_WORD_LENGTH) -> FockVector:
     coefficients, so the image of a word with letter multiplicities m has
     prod(m_s + 1) terms rather than 2^degree.
     """
-    if v.level + 1 > max_level:
-        raise CapExceeded(f"embedding beyond level {max_level}")
+    if v.level + 1 > MAX_WORD_LENGTH:
+        raise CapExceeded(f"embedding beyond level {MAX_WORD_LENGTH}")
     backend = v.backend()
     out: Dict[AdmissibleWord, Scalar] = {}
     for word, coeff in v.terms.items():
@@ -106,10 +105,10 @@ def embed(v: FockVector, max_level: int = MAX_WORD_LENGTH) -> FockVector:
     return FockVector(v.level + 1, out)
 
 
-def embed_by_enumeration(v: FockVector, max_level: int = MAX_WORD_LENGTH) -> FockVector:
+def embed_by_enumeration(v: FockVector) -> FockVector:
     """Oracle form of ``embed``: the raw sum over all 2^degree assignments."""
-    if v.level + 1 > max_level:
-        raise CapExceeded(f"embedding beyond level {max_level}")
+    if v.level + 1 > MAX_WORD_LENGTH:
+        raise CapExceeded(f"embedding beyond level {MAX_WORD_LENGTH}")
     backend = v.backend()
     out: Dict[AdmissibleWord, Scalar] = {}
     for word, coeff in v.terms.items():

@@ -278,13 +278,13 @@ def from_fock(v: FockVector) -> GaussPoly:
     return GaussPoly(out)
 
 
-def koopman(g: TorusStep, p: GaussPoly, max_terms: int = DEFAULT_MAX_TERMS) -> GaussPoly:
+def koopman(g: TorusStep, p: GaussPoly) -> GaussPoly:
     """Composition with the step's action: z_w picks up the factor g(w).
 
     Auto-refines so every variable is at least as deep as the step; each
     monomial then picks up the step's character of its charges.
     """
-    return refine(p, max(g.level, p.max_word_length()), max_terms).acted(g)
+    return refine(p, max(g.level, p.max_word_length())).acted(g)
 
 
 def moment_by_pairings(mono: GaussMonomial) -> int:
@@ -375,8 +375,7 @@ class ExpansionReport:
         return self.identity_holds and self.remainder_matches
 
 
-def power_expansion_report(base: Word, k: int, m: int, depth: int,
-                           max_terms: int = DEFAULT_MAX_TERMS) -> ExpansionReport:
+def power_expansion_report(base: Word, k: int, m: int, depth: int) -> ExpansionReport:
     """Verify z^k conj(z)^m = 2^(-depth(k+m)/2) * sum over index tuples
     of the corresponding product of child variables, split into its
     constant-index (diagonal) and mixed-index parts."""
@@ -384,10 +383,9 @@ def power_expansion_report(base: Word, k: int, m: int, depth: int,
         raise ValueError("need nonnegative exponents with k + m >= 1")
     children = all_words(depth)
     tuples = len(children) ** (k + m)
-    if tuples > max_terms:
-        raise CapExceeded(f"{tuples} index tuples exceed the cap {max_terms}")
-    lhs = refine(GaussPoly({GaussMonomial.of({base: (k, m)}): 1}),
-                 len(base) + depth, max_terms)
+    if tuples > DEFAULT_MAX_TERMS:
+        raise CapExceeded(f"{tuples} index tuples exceed the cap {DEFAULT_MAX_TERMS}")
+    lhs = refine(GaussPoly({GaussMonomial.of({base: (k, m)}): 1}), len(base) + depth)
     scale = scalars.sqrt2_pow(-depth * (k + m))
     rhs: Dict[GaussMonomial, Scalar] = {}
     diagonal: Dict[GaussMonomial, Scalar] = {}

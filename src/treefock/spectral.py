@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import CapExceeded
 from .scalars import Scalar
-from .words import MAX_WORD_LENGTH, TorusStep, Word, all_words
+from .words import (MAX_WORD_LENGTH, TorusStep, Word, all_words, make_word,
+                    word_index)
 
 Slot = Tuple[int, int]
 Assignment = Tuple[Word, ...]
@@ -194,8 +195,8 @@ class DepthMeasure:
             wt = Fraction(wt)
             if wt < 0:
                 raise ValueError("weights must be nonnegative")
-            if wt:  # a word's position on its axis is the word read in binary
-                cells[tuple(int("0" + "".join(map(str, w)), 2) for w in key)] = wt
+            if wt:  # make_word refuses letters other than 0 and 1
+                cells[tuple(word_index(make_word(w)) for w in key)] = wt
         den = math.lcm(*(wt.denominator for wt in cells.values()))
         _check_int64(sum(cells.values()) * den)
         counts = np.zeros(shape, dtype=np.int64)
@@ -218,10 +219,9 @@ class DepthMeasure:
         return out
 
     @classmethod
-    def uniform(cls, index: IndexFunction, depth: int,
-                max_cells: int = DEFAULT_MAX_TENSOR_OPS) -> "DepthMeasure":
+    def uniform(cls, index: IndexFunction, depth: int) -> "DepthMeasure":
         """The full product measure at the given depth, total mass one."""
-        shape = _grid_shape(index, depth, max_cells)
+        shape = _grid_shape(index, depth, DEFAULT_MAX_TENSOR_OPS)
         return cls._of(index, depth, np.ones(shape, dtype=np.int64), math.prod(shape))
 
     @classmethod
@@ -269,10 +269,9 @@ class DepthMeasure:
         """Pushforward under the coordinate permutation (a position map)."""
         return self._of(self.index, self.depth, self.counts.transpose(perm), self.den)
 
-    def is_good_invariant(self,
-                          max_count: int = DEFAULT_MAX_PERMUTATIONS) -> bool:
+    def is_good_invariant(self) -> bool:
         return all(self.permuted(perm) == self
-                   for perm in good_permutations(self.index, max_count))
+                   for perm in good_permutations(self.index))
 
     def diagonal_mass(self, i: int, j: int) -> Fraction:
         """Mass of the set where slots i and j carry the same word."""
@@ -345,16 +344,15 @@ def phase_at(x: IndexFunction, step: TorusStep, assignment: Assignment) -> Scala
     return step.character((w, k) for (k, _), w in zip(slots, assignment))
 
 
-def spectral_form(x: IndexFunction, j: int = 1, depth: int = 1,
-                  max_cells: int = DEFAULT_MAX_TENSOR_OPS) -> DepthMeasure:
+def spectral_form(x: IndexFunction, j: int = 1, depth: int = 1) -> DepthMeasure:
     """The maximal spectral type at multiplicity index j, truncated at depth.
 
     Full product measure over the slot grid when dom(x) is within {-1, 1}
     and j == 1; the zero measure otherwise.
     """
     if j == 1 and x.has_unit_domain():
-        return DepthMeasure.uniform(x, depth, max_cells)
-    return DepthMeasure.zero(x, depth, max_cells)
+        return DepthMeasure.uniform(x, depth)
+    return DepthMeasure.zero(x, depth)
 
 
 @dataclass
@@ -372,8 +370,6 @@ class ConstraintReport:
     indices: Tuple[IndexFunction, ...]
     depth: int
     lhs_zero: bool
-    rhs_zero: bool
-    lhs_mass: Fraction
     holds_per_depth: List[bool] = field(default_factory=list)
 
     @property
@@ -383,8 +379,7 @@ class ConstraintReport:
 
 def check_constraint(coefficients: Sequence[int],
                      indices: Sequence[IndexFunction],
-                     depth: int = 2,
-                     max_ops: int = DEFAULT_MAX_TENSOR_OPS) -> ConstraintReport:
+                     depth: int = 2) -> ConstraintReport:
     """Compare the relabeled tensor product against the combined spectral form."""
     if len(coefficients) != len(indices) or not indices:
         raise ValueError("need matching nonempty coefficient and index lists")
@@ -394,18 +389,14 @@ def check_constraint(coefficients: Sequence[int],
     for m, x in zip(coefficients[1:], indices[1:]):
         combined = combined + x.scaled(m)
     report = ConstraintReport(tuple(coefficients), tuple(indices), depth,
-                              lhs_zero=True, rhs_zero=True, lhs_mass=Fraction(0))
+                              lhs_zero=True)
     for d in range(1, depth + 1):
-        lhs = spectral_form(indices[0], 1, d, max_ops).relabel(coefficients[0])
+        lhs = spectral_form(indices[0], 1, d).relabel(coefficients[0])
         for m, x in zip(coefficients[1:], indices[1:]):
-            factor = spectral_form(x, 1, d, max_ops).relabel(m)
-            lhs = lhs.tensor(factor, max_ops)
-        rhs = spectral_form(combined, 1, d, max_ops)
+            lhs = lhs.tensor(spectral_form(x, 1, d).relabel(m))
+        rhs = spectral_form(combined, 1, d)
         report.holds_per_depth.append(not (lhs.support() & ~rhs.support()).any())
-        if d == depth:
-            report.lhs_zero = lhs.is_zero
-            report.rhs_zero = rhs.is_zero
-            report.lhs_mass = lhs.mass()
+        report.lhs_zero = lhs.is_zero
     return report
 
 
@@ -415,9 +406,9 @@ class CompatibilityReport:
 
     Invariance under good permutations and coherence across depths are exact
     checks; diagonal masses are reported per slot pair and tested to be
-    nonincreasing in depth (their limit vanishing is condition three); the
+    nonincreasing in depth (their limit vanishing is condition three).  The
     absolute continuity of depth marginals is not falsifiable from finitely
-    many cylinder weights, which the note records.
+    many cylinder weights, so it is not reported.
     """
 
     index: IndexFunction
@@ -426,18 +417,13 @@ class CompatibilityReport:
     good_invariant: bool
     diagonal_masses: Dict[Tuple[Slot, Slot], List[Fraction]]
     diagonals_nonincreasing: bool
-    marginals_note: str = ("depth marginals are finitely supported with the "
-                           "prescribed cylinder weights; absolute continuity "
-                           "with respect to the base measure is not "
-                           "falsifiable at finite depth")
 
     @property
     def passed(self) -> bool:
         return self.coherent and self.good_invariant and self.diagonals_nonincreasing
 
 
-def compatibility_report(family: Sequence[DepthMeasure],
-                         max_count: int = DEFAULT_MAX_PERMUTATIONS) -> CompatibilityReport:
+def compatibility_report(family: Sequence[DepthMeasure]) -> CompatibilityReport:
     if not family:
         raise ValueError("need at least one depth")
     index = family[0].index
@@ -449,7 +435,7 @@ def compatibility_report(family: Sequence[DepthMeasure],
     coherent = all(deeper.coarsened() == shallower
                    for shallower, deeper in zip(family, family[1:])
                    if deeper.depth == shallower.depth + 1)
-    good = all(mu.is_good_invariant(max_count) for mu in family)
+    good = all(mu.is_good_invariant() for mu in family)
     diag: Dict[Tuple[Slot, Slot], List[Fraction]] = {}
     for mu in family:
         for pair, mass in mu.diagonal_masses().items():

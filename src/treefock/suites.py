@@ -1,9 +1,13 @@
 """Verification suites: each module's invariants run to configurable caps.
 
-A suite enumerates its cases, compares computed values against closed forms
-or independent oracles, and returns a SuiteReport carrying the case count
-and the first counterexamples.  Suites are deterministic for a given
-RunConfig; randomness comes only from the config's seed.
+A suite runs named checks and returns one SuiteReport per check.  A check
+enumerates its cases, compares computed values against closed forms or
+independent oracles, and records the case count and the first
+counterexamples.  Each check body runs under its own guard: a CapExceeded
+is recorded on that check as ``{"cap": message}`` and any other exception
+as ``{"exception": type name, "message": message}``, and the suite goes on
+to its next check.  Suites are deterministic for a given RunConfig;
+randomness comes only from the config's seed.
 
 On the exact backend every comparison is literal equality of exact scalars.
 On the float backend torus steps carry arbitrary angles and comparisons
@@ -15,12 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import fock, gauss, montecarlo, scalars, spectral, steps
+from .errors import CapExceeded
 from .scalars import EXACT
 from .spectral import DepthMeasure, IndexFunction, index_pq
 from .steps import GridCell
@@ -100,21 +106,50 @@ class SuiteReport:
         }
 
 
+class _Checks:
+    """The reports of one suite.  Each check runs under its own guard: a
+    cap or any other exception fails that check alone, and the suite goes
+    on with the same rng stream."""
+
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.reports: List[SuiteReport] = []
+
+    @contextmanager
+    def run(self, check: str, statement: str) -> Iterator[SuiteReport]:
+        r = SuiteReport(self.suite, check, statement)
+        self.reports.append(r)
+        try:
+            yield r
+        except CapExceeded as exc:
+            r.failures.append({"cap": str(exc)})
+        except Exception as exc:
+            r.failures.append({"exception": type(exc).__name__,
+                               "message": str(exc)})
+
+
 @lru_cache(maxsize=None)
 def _basis(level: int, degree_max: int) -> Tuple[AdmissibleWord, ...]:
     return tuple(w for l in range(1, degree_max + 1)
                  for w in enumerate_admissible(level, l))
 
 
-def _sample_pairs(count: int, size: int, rng: random.Random) -> List[Tuple[int, int]]:
-    """Distinct index pairs, deterministic for a given rng state."""
+def _pairs(level: int, size: int, count: int, rng: random.Random,
+           diagonal: bool = False) -> List[Tuple[int, int]]:
+    """Index pairs for a Gram check: every pair at level 1; deeper, the
+    diagonal if asked plus ``count`` distinct sampled pairs, deterministic
+    for a given rng state."""
+    if level == 1:
+        every = (itertools.combinations_with_replacement if diagonal
+                 else itertools.combinations)
+        return list(every(range(size), 2))
     seen = set()
     while len(seen) < min(count, size * (size - 1) // 2):
         i = rng.randrange(size)
         j = rng.randrange(size)
         if i != j:
             seen.add((min(i, j), max(i, j)))
-    return sorted(seen)
+    return [(i, i) for i in range(size) if diagonal] + sorted(seen)
 
 
 def _random_step(cfg: RunConfig, level: int, rng: random.Random) -> TorusStep:
@@ -165,348 +200,325 @@ def _admissible_count(level: int, degree: int) -> int:
 
 def fock_suites(cfg: RunConfig) -> List[SuiteReport]:
     rng = random.Random(cfg.seed)
-    reports = []
+    checks = _Checks("fock")
 
-    r = SuiteReport("fock", "symbol-conjugation",
-                    "conjugation is an involution and commutes with appending bits")
-    for level in range(0, cfg.level_max + 1):
-        for word in all_words(level):
-            for barred in (False, True):
-                s = Symbol(word, barred)
-                ok = (s.conj().conj() == s and s.conj() != s
-                      and all(s.append(b).conj() == s.conj().append(b)
-                              for b in (0, 1)))
-                r.case(ok, symbol=s)
-    reports.append(r)
+    with checks.run("symbol-conjugation",
+                    "conjugation is an involution and commutes with appending "
+                    "bits") as r:
+        for level in range(0, cfg.level_max + 1):
+            for word in all_words(level):
+                for barred in (False, True):
+                    s = Symbol(word, barred)
+                    ok = (s.conj().conj() == s and s.conj() != s
+                          and all(s.append(b).conj() == s.conj().append(b)
+                                  for b in (0, 1)))
+                    r.case(ok, symbol=s)
 
-    r = SuiteReport("fock", "admissible-enumeration",
+    with checks.run("admissible-enumeration",
                     "enumeration is sorted, duplicate-free, admissible, and matches "
-                    "the closed-form count")
-    for level in range(1, cfg.level_max + 1):
-        for degree in range(1, cfg.degree_max + 1):
-            words = list(enumerate_admissible(level, degree))
-            keys = [tuple(s.sort_key() for s in w.entries) for w in words]
-            ok = (keys == sorted(keys) and len(set(keys)) == len(keys)
-                  and all(w.level == level and w.degree == degree for w in words)
-                  and all(sum(w.symbol_multiplicities().values()) == degree
-                          and sum(w.degrees) == degree for w in words)
-                  and len(words) == _admissible_count(level, degree))
-            r.case(ok, level=level, degree=degree, count=len(words),
-                   expected=_admissible_count(level, degree))
-    reports.append(r)
+                    "the closed-form count") as r:
+        for level in range(1, cfg.level_max + 1):
+            for degree in range(1, cfg.degree_max + 1):
+                words = list(enumerate_admissible(level, degree))
+                keys = [tuple(s.sort_key() for s in w.entries) for w in words]
+                ok = (keys == sorted(keys) and len(set(keys)) == len(keys)
+                      and all(w.level == level and w.degree == degree for w in words)
+                      and all(sum(w.symbol_multiplicities().values()) == degree
+                              and sum(w.degrees) == degree for w in words)
+                      and len(words) == _admissible_count(level, degree))
+                r.case(ok, level=level, degree=degree, count=len(words),
+                       expected=_admissible_count(level, degree))
 
-    r = SuiteReport("fock", "variant-count",
-                    "distinct arrangements number p!q!/prod(m_s!)")
-    for level in range(1, cfg.level_max + 1):
-        for w in _basis(level, min(cfg.degree_max, 4)):
-            variants = w.variants()
-            p, q = w.degrees
-            expected = (math.factorial(p) * math.factorial(q)
-                        // math.prod(math.factorial(m)
-                                     for m in w.symbol_multiplicities().values()))
-            ok = (len(variants) == len(set(variants)) == expected == w.variant_count()
-                  and all(sorted(a + b) == sorted(w.unmarked_words() + w.marked_words())
-                          for a, b in variants))
-            r.case(ok, word=w, count=len(variants), expected=expected)
-    reports.append(r)
+    with checks.run("variant-count",
+                    "distinct arrangements number p!q!/prod(m_s!)") as r:
+        for level in range(1, cfg.level_max + 1):
+            for w in _basis(level, min(cfg.degree_max, 4)):
+                variants = w.variants()
+                p, q = w.degrees
+                expected = (math.factorial(p) * math.factorial(q)
+                            // math.prod(math.factorial(m)
+                                         for m in w.symbol_multiplicities().values()))
+                ok = (len(variants) == len(set(variants)) == expected
+                      == w.variant_count()
+                      and all(sorted(a + b)
+                              == sorted(w.unmarked_words() + w.marked_words())
+                              for a, b in variants))
+                r.case(ok, word=w, count=len(variants), expected=expected)
 
-    r = SuiteReport("fock", "norm-product",
+    with checks.run("norm-product",
                     "basic vectors have squared norm prod(m_s!) and distinct "
-                    "words are orthogonal")
-    for level in range(1, cfg.level_max + 1):
-        basis = _basis(level, cfg.degree_max)
-        for w in basis:
-            expected = math.prod(math.factorial(m)
-                                 for m in w.symbol_multiplicities().values())
-            b = fock.basic(w, cfg.backend)
-            r.case(_close(cfg, fock.norm2(b), expected), word=w,
-                   norm2=fock.norm2(b), expected=expected)
-        vecs = [fock.basic(w, cfg.backend) for w in basis]
-        pairs = (itertools.combinations(range(len(basis)), 2) if level == 1
-                 else _sample_pairs(1500, len(basis), rng))
-        for i, j in pairs:
-            val = fock.inner(vecs[i], vecs[j])
-            r.case(_close(cfg, val, 0), u=basis[i], v=basis[j], inner=val)
-    reports.append(r)
+                    "words are orthogonal") as r:
+        for level in range(1, cfg.level_max + 1):
+            basis = _basis(level, cfg.degree_max)
+            for w in basis:
+                expected = math.prod(math.factorial(m)
+                                     for m in w.symbol_multiplicities().values())
+                b = fock.basic(w, cfg.backend)
+                r.case(_close(cfg, fock.norm2(b), expected), word=w,
+                       norm2=fock.norm2(b), expected=expected)
+            vecs = [fock.basic(w, cfg.backend) for w in basis]
+            for i, j in _pairs(level, len(basis), 1500, rng):
+                val = fock.inner(vecs[i], vecs[j])
+                r.case(_close(cfg, val, 0), u=basis[i], v=basis[j], inner=val)
 
-    r = SuiteReport("fock", "norm-split",
+    with checks.run("norm-split",
                     "each child norm is prod k_s!(m_s-k_s)! and the epsilon "
-                    "sum has 2^l times the parent's squared norm")
-    for level in range(1, cfg.level_max + 1):
-        for w in _basis(level, cfg.degree_max):
-            entries = w.entries
-            parent_norm = fock.norm2(fock.basic(w, cfg.backend))
-            total = fock.FockVector(level + 1, {})
-            ok = True
-            for bits in itertools.product((0, 1), repeat=w.degree):
-                child = AdmissibleWord.of(s.append(b) for s, b in zip(entries, bits))
-                split: Dict[Tuple[Symbol, int], int] = {}
-                for s, b in zip(entries, bits):
-                    split[(s, b)] = split.get((s, b), 0) + 1
-                expected = math.prod(math.factorial(k) for k in split.values())
-                ok = ok and fock.norm2(fock.basic(child, cfg.backend)) == expected
-                total = total + fock.basic(child, cfg.backend)
-            ok = ok and _close(cfg, fock.norm2(total), 2 ** w.degree * parent_norm)
-            r.case(ok, word=w)
-    reports.append(r)
+                    "sum has 2^l times the parent's squared norm") as r:
+        for level in range(1, cfg.level_max + 1):
+            for w in _basis(level, cfg.degree_max):
+                entries = w.entries
+                parent_norm = fock.norm2(fock.basic(w, cfg.backend))
+                total = fock.FockVector(level + 1, {})
+                ok = True
+                for bits in itertools.product((0, 1), repeat=w.degree):
+                    child = AdmissibleWord.of(s.append(b)
+                                              for s, b in zip(entries, bits))
+                    split: Dict[Tuple[Symbol, int], int] = {}
+                    for s, b in zip(entries, bits):
+                        split[(s, b)] = split.get((s, b), 0) + 1
+                    expected = math.prod(math.factorial(k) for k in split.values())
+                    ok = ok and fock.norm2(fock.basic(child, cfg.backend)) == expected
+                    total = total + fock.basic(child, cfg.backend)
+                ok = ok and _close(cfg, fock.norm2(total), 2 ** w.degree * parent_norm)
+                r.case(ok, word=w)
 
-    r = SuiteReport("fock", "embed-isometry",
+    with checks.run("embed-isometry",
                     "the embedding preserves inner products and matches the "
-                    "direct epsilon-sum expansion")
-    for level in range(1, cfg.level_max + 1):
-        for w in _basis(level, cfg.degree_max):
-            b = fock.basic(w, cfg.backend)
-            e = fock.embed(b)
-            ok = _close(cfg, fock.norm2(e), fock.norm2(b))
-            if w.degree <= 4:
-                ok = ok and _equal(cfg, e, fock.embed_by_enumeration(b))
-            r.case(ok, word=w)
-        for _ in range(12):
-            u = _random_vector(cfg, level, rng)
-            v = _random_vector(cfg, level, rng)
-            r.case(_close(cfg, fock.inner(fock.embed(u), fock.embed(v)),
-                          fock.inner(u, v)),
-                   level=level, u=u, v=v)
-    reports.append(r)
+                    "direct epsilon-sum expansion") as r:
+        for level in range(1, cfg.level_max + 1):
+            for w in _basis(level, cfg.degree_max):
+                b = fock.basic(w, cfg.backend)
+                e = fock.embed(b)
+                ok = _close(cfg, fock.norm2(e), fock.norm2(b))
+                if w.degree <= 4:
+                    ok = ok and _equal(cfg, e, fock.embed_by_enumeration(b))
+                r.case(ok, word=w)
+            for _ in range(12):
+                u = _random_vector(cfg, level, rng)
+                v = _random_vector(cfg, level, rng)
+                r.case(_close(cfg, fock.inner(fock.embed(u), fock.embed(v)),
+                              fock.inner(u, v)),
+                       level=level, u=u, v=v)
 
-    r = SuiteReport("fock", "embed-orthogonality",
-                    "images of distinct basic vectors stay orthogonal")
-    for level in range(1, cfg.level_max + 1):
-        basis = _basis(level, cfg.degree_max)
-        images = {i: None for i in range(len(basis))}
-        pairs = (itertools.combinations(range(len(basis)), 2) if level == 1
-                 else _sample_pairs(1200, len(basis), rng))
-        for i, j in pairs:
-            if images[i] is None:
-                images[i] = fock.embed(fock.basic(basis[i], cfg.backend))
-            if images[j] is None:
-                images[j] = fock.embed(fock.basic(basis[j], cfg.backend))
-            val = fock.inner(images[i], images[j])
-            r.case(_close(cfg, val, 0), u=basis[i], v=basis[j], inner=val)
-    reports.append(r)
+    with checks.run("embed-orthogonality",
+                    "images of distinct basic vectors stay orthogonal") as r:
+        for level in range(1, cfg.level_max + 1):
+            basis = _basis(level, cfg.degree_max)
+            images = {i: None for i in range(len(basis))}
+            for i, j in _pairs(level, len(basis), 1200, rng):
+                if images[i] is None:
+                    images[i] = fock.embed(fock.basic(basis[i], cfg.backend))
+                if images[j] is None:
+                    images[j] = fock.embed(fock.basic(basis[j], cfg.backend))
+                val = fock.inner(images[i], images[j])
+                r.case(_close(cfg, val, 0), u=basis[i], v=basis[j], inner=val)
 
-    r = SuiteReport("fock", "act-unitary",
-                    "torus steps act by unitaries and multiplicatively")
-    for level in range(1, cfg.level_max + 1):
-        for _ in range(10):
-            g = _random_step(cfg, level, rng)
-            h = _random_step(cfg, level, rng)
-            v = _random_vector(cfg, level, rng)
-            ok = (_close(cfg, fock.norm2(fock.act(g, v)), fock.norm2(v))
-                  and _equal(cfg, fock.act(g, fock.act(h, v)),
-                             fock.act(g * h, v))
-                  and _equal(cfg, fock.act(TorusStep.identity(level, cfg.backend), v), v)
-                  and _equal(cfg, fock.act(g.inverse(), fock.act(g, v)), v))
-            r.case(ok, level=level)
-    reports.append(r)
-    return reports
+    with checks.run("act-unitary",
+                    "torus steps act by unitaries and multiplicatively") as r:
+        for level in range(1, cfg.level_max + 1):
+            for _ in range(10):
+                g = _random_step(cfg, level, rng)
+                h = _random_step(cfg, level, rng)
+                v = _random_vector(cfg, level, rng)
+                ok = (_close(cfg, fock.norm2(fock.act(g, v)), fock.norm2(v))
+                      and _equal(cfg, fock.act(g, fock.act(h, v)),
+                                 fock.act(g * h, v))
+                      and _equal(cfg, fock.act(TorusStep.identity(level, cfg.backend),
+                                               v), v)
+                      and _equal(cfg, fock.act(g.inverse(), fock.act(g, v)), v))
+                r.case(ok, level=level)
+    return checks.reports
 
 
 # --------------------------------------------------------------- step side
 
 def step_suites(cfg: RunConfig) -> List[SuiteReport]:
     rng = random.Random(cfg.seed + 1)
-    reports = []
+    checks = _Checks("alpha")
 
-    r = SuiteReport("alpha", "support-measure",
-                    "a word's support carries measure p!q!/(2^(n l) prod m_s!)")
-    for level in range(1, cfg.level_max + 1):
-        for w in _basis(level, cfg.degree_max):
-            cells = steps.support_cells(w)
-            p, q = w.degrees
-            denom = 2 ** (level * w.degree) * math.prod(
-                math.factorial(m) for m in w.symbol_multiplicities().values())
-            expected = Fraction(math.factorial(p) * math.factorial(q), denom)
-            ok = (len(cells) == len(set(cells)) == w.variant_count()
-                  and all(c.degrees == (p, q) and c.depth == level for c in cells)
-                  and steps.support_measure(w) == expected)
-            r.case(ok, word=w, measure=steps.support_measure(w), expected=expected)
-    reports.append(r)
+    with checks.run("support-measure",
+                    "a word's support carries measure p!q!/(2^(n l) prod m_s!)") as r:
+        for level in range(1, cfg.level_max + 1):
+            for w in _basis(level, cfg.degree_max):
+                cells = steps.support_cells(w)
+                p, q = w.degrees
+                denom = 2 ** (level * w.degree) * math.prod(
+                    math.factorial(m) for m in w.symbol_multiplicities().values())
+                expected = Fraction(math.factorial(p) * math.factorial(q), denom)
+                ok = (len(cells) == len(set(cells)) == w.variant_count()
+                      and all(c.degrees == (p, q) and c.depth == level for c in cells)
+                      and steps.support_measure(w) == expected)
+                r.case(ok, word=w, measure=steps.support_measure(w), expected=expected)
 
-    r = SuiteReport("alpha", "support-disjoint",
-                    "words of one block shape have pairwise disjoint supports")
-    for level in range(1, cfg.level_max + 1):
-        owners: Dict[GridCell, AdmissibleWord] = {}
-        clashes = 0
-        for w in _basis(level, cfg.degree_max):
-            for cell in steps.support_cells(w):
-                if cell in owners:
-                    clashes += 1
-                owners[cell] = w
-        r.case(clashes == 0, level=level, clashes=clashes)
-    reports.append(r)
+    with checks.run("support-disjoint",
+                    "words of one block shape have pairwise disjoint supports") as r:
+        for level in range(1, cfg.level_max + 1):
+            owners: Dict[GridCell, AdmissibleWord] = {}
+            clashes = 0
+            for w in _basis(level, cfg.degree_max):
+                for cell in steps.support_cells(w):
+                    if cell in owners:
+                        clashes += 1
+                    owners[cell] = w
+            r.case(clashes == 0, level=level, clashes=clashes)
 
-    r = SuiteReport("alpha", "realization-isometry",
-                    "the step realization preserves norms")
-    for level in range(1, cfg.level_max + 1):
-        for w in _basis(level, cfg.degree_max):
-            b = fock.basic(w, cfg.backend)
-            r.case(_close(cfg, steps.from_fock(b).norm2(), fock.norm2(b)), word=w)
-        for _ in range(10):
-            v = _random_vector(cfg, level, rng)
-            r.case(_close(cfg, steps.from_fock(v).norm2(), fock.norm2(v)),
-                   level=level, v=v)
-    reports.append(r)
+    with checks.run("realization-isometry",
+                    "the step realization preserves norms") as r:
+        for level in range(1, cfg.level_max + 1):
+            for w in _basis(level, cfg.degree_max):
+                b = fock.basic(w, cfg.backend)
+                r.case(_close(cfg, steps.from_fock(b).norm2(), fock.norm2(b)), word=w)
+            for _ in range(10):
+                v = _random_vector(cfg, level, rng)
+                r.case(_close(cfg, steps.from_fock(v).norm2(), fock.norm2(v)),
+                       level=level, v=v)
 
-    r = SuiteReport("alpha", "realization-gram",
-                    "step inner products reproduce the Fock Gram matrix")
-    for level in range(1, cfg.level_max + 1):
-        basis = _basis(level, cfg.degree_max)
-        images = [steps.from_fock(fock.basic(w, cfg.backend)) for w in basis]
-        pairs = (itertools.combinations_with_replacement(range(len(basis)), 2)
-                 if level == 1 else
-                 [(i, i) for i in range(len(basis))] + _sample_pairs(1000, len(basis), rng))
-        for i, j in pairs:
-            want = fock.inner(fock.basic(basis[i], cfg.backend),
-                              fock.basic(basis[j], cfg.backend))
-            r.case(_close(cfg, images[i].inner(images[j]), want),
-                   u=basis[i], v=basis[j])
-    reports.append(r)
+    with checks.run("realization-gram",
+                    "step inner products reproduce the Fock Gram matrix") as r:
+        for level in range(1, cfg.level_max + 1):
+            basis = _basis(level, cfg.degree_max)
+            images = [steps.from_fock(fock.basic(w, cfg.backend)) for w in basis]
+            for i, j in _pairs(level, len(basis), 1000, rng, diagonal=True):
+                want = fock.inner(fock.basic(basis[i], cfg.backend),
+                                  fock.basic(basis[j], cfg.backend))
+                r.case(_close(cfg, images[i].inner(images[j]), want),
+                       u=basis[i], v=basis[j])
 
-    r = SuiteReport("alpha", "multinomial-split",
-                    "split coefficients recombine: sum_k C(m,k)^2 k!(m-k)! = m! 2^m")
-    for m in range(0, 9):
-        lhs = sum(math.comb(m, k) ** 2 * math.factorial(k) * math.factorial(m - k)
-                  for k in range(m + 1))
-        r.case(lhs == math.factorial(m) * 2 ** m, m=m, lhs=lhs)
-        for k in range(m + 1):
-            r.case(math.comb(m, k) * math.factorial(k) * math.factorial(m - k)
-                   == math.factorial(m), m=m, k=k)
-    reports.append(r)
+    with checks.run("multinomial-split",
+                    "split coefficients recombine: sum_k C(m,k)^2 k!(m-k)! "
+                    "= m! 2^m") as r:
+        for m in range(0, 9):
+            lhs = sum(math.comb(m, k) ** 2 * math.factorial(k) * math.factorial(m - k)
+                      for k in range(m + 1))
+            r.case(lhs == math.factorial(m) * 2 ** m, m=m, lhs=lhs)
+            for k in range(m + 1):
+                r.case(math.comb(m, k) * math.factorial(k) * math.factorial(m - k)
+                       == math.factorial(m), m=m, k=k)
 
-    r = SuiteReport("alpha", "torus-equivariance",
+    with checks.run("torus-equivariance",
                     "realizing then acting equals acting then realizing, and "
-                    "the action is unitary on step sums")
-    for level in range(1, cfg.level_max + 1):
-        for _ in range(8):
-            g = _random_step(cfg, level, rng)
-            h = _random_step(cfg, level, rng)
-            v = _random_vector(cfg, level, rng)
-            f = steps.from_fock(v)
-            ok = (_equal(cfg, steps.from_fock(fock.act(g, v)), f.act(g))
-                  and _close(cfg, f.act(g).norm2(), f.norm2())
-                  and _equal(cfg, f.act(g).act(h), f.act(g * h)))
-            r.case(ok, level=level)
-    reports.append(r)
+                    "the action is unitary on step sums") as r:
+        for level in range(1, cfg.level_max + 1):
+            for _ in range(8):
+                g = _random_step(cfg, level, rng)
+                h = _random_step(cfg, level, rng)
+                v = _random_vector(cfg, level, rng)
+                f = steps.from_fock(v)
+                ok = (_equal(cfg, steps.from_fock(fock.act(g, v)), f.act(g))
+                      and _close(cfg, f.act(g).norm2(), f.norm2())
+                      and _equal(cfg, f.act(g).act(h), f.act(g * h)))
+                r.case(ok, level=level)
 
-    r = SuiteReport("alpha", "block-symmetry",
+    with checks.run("block-symmetry",
                     "realized vectors are invariant under permuting the "
-                    "coordinates of either block")
-    for level in range(1, cfg.level_max + 1):
-        for w in _basis(level, cfg.degree_max):
-            p, q = w.degrees
-            if math.factorial(p) * math.factorial(q) > 100:
-                continue
-            f = steps.from_fock(fock.basic(w, cfg.backend))
-            r.case(all(part.is_block_symmetric() for part in f.components.values()),
-                   word=w)
-    reports.append(r)
+                    "coordinates of either block") as r:
+        for level in range(1, cfg.level_max + 1):
+            for w in _basis(level, cfg.degree_max):
+                p, q = w.degrees
+                if math.factorial(p) * math.factorial(q) > 100:
+                    continue
+                f = steps.from_fock(fock.basic(w, cfg.backend))
+                r.case(all(part.is_block_symmetric() for part in f.components.values()),
+                       word=w)
 
-    r = SuiteReport("alpha", "point-separation",
+    with checks.run("point-separation",
                     "any two distinct sorted cells of one shape are separated "
-                    "by some word's support")
-    for level in range(1, cfg.level_max + 1):
-        words = all_words(level)
-        for p, q in ((1, 0), (1, 1), (2, 0), (2, 1)):
-            if p + q > cfg.degree_max:
-                continue
-            cells = []
-            for left in itertools.combinations(words, p):
-                for right in itertools.combinations(words, q):
-                    if set(left) & set(right):
-                        continue
-                    cells.append(GridCell(level, left, right))
-            for c1, c2 in itertools.combinations(cells, 2):
-                w = AdmissibleWord.of(
-                    [Symbol(t, False) for t in c1.left]
-                    + [Symbol(t, True) for t in c1.right])
-                support = set(steps.support_cells(w))
-                r.case(c1 in support and c2 not in support,
-                       first=c1, second=c2, word=w)
-    reports.append(r)
-    return reports
+                    "by some word's support") as r:
+        for level in range(1, cfg.level_max + 1):
+            words = all_words(level)
+            for p, q in ((1, 0), (1, 1), (2, 0), (2, 1)):
+                if p + q > cfg.degree_max:
+                    continue
+                cells = []
+                for left in itertools.combinations(words, p):
+                    for right in itertools.combinations(words, q):
+                        if set(left) & set(right):
+                            continue
+                        cells.append(GridCell(level, left, right))
+                for c1, c2 in itertools.combinations(cells, 2):
+                    w = AdmissibleWord.of(
+                        [Symbol(t, False) for t in c1.left]
+                        + [Symbol(t, True) for t in c1.right])
+                    support = set(steps.support_cells(w))
+                    r.case(c1 in support and c2 not in support,
+                           first=c1, second=c2, word=w)
+    return checks.reports
 
 
 # ------------------------------------------------------------ gaussian side
 
 def gauss_suites(cfg: RunConfig) -> List[SuiteReport]:
     rng = random.Random(cfg.seed + 2)
-    reports = []
+    checks = _Checks("beta")
 
-    r = SuiteReport("beta", "realization-gram",
-                    "polynomial inner products reproduce the Fock Gram matrix")
-    for level in range(1, cfg.level_max + 1):
-        basis = _basis(level, cfg.degree_max)
-        images = [gauss.from_fock(fock.basic(w, cfg.backend)) for w in basis]
-        pairs = (itertools.combinations_with_replacement(range(len(basis)), 2)
-                 if level == 1 else
-                 [(i, i) for i in range(len(basis))] + _sample_pairs(800, len(basis), rng))
-        for i, j in pairs:
-            want = fock.inner(fock.basic(basis[i], cfg.backend),
-                              fock.basic(basis[j], cfg.backend))
-            r.case(_close(cfg, gauss.inner(images[i], images[j]), want),
-                   u=basis[i], v=basis[j])
-    reports.append(r)
+    with checks.run("realization-gram",
+                    "polynomial inner products reproduce the Fock Gram matrix") as r:
+        for level in range(1, cfg.level_max + 1):
+            basis = _basis(level, cfg.degree_max)
+            images = [gauss.from_fock(fock.basic(w, cfg.backend)) for w in basis]
+            for i, j in _pairs(level, len(basis), 800, rng, diagonal=True):
+                want = fock.inner(fock.basic(basis[i], cfg.backend),
+                                  fock.basic(basis[j], cfg.backend))
+                r.case(_close(cfg, gauss.inner(images[i], images[j]), want),
+                       u=basis[i], v=basis[j])
 
-    r = SuiteReport("beta", "refine-moment",
+    with checks.run("refine-moment",
                     "rewriting variables one level deeper preserves moments "
-                    "and inner products")
-    for level in range(1, cfg.level_max + 1):
-        for _ in range(10):
-            p = gauss.from_fock(_random_vector(cfg, level, rng))
-            q = gauss.from_fock(_random_vector(cfg, level, rng))
-            deeper = level + 1
-            ok = (_close(cfg, gauss.moment(gauss.refine(p, deeper)), gauss.moment(p))
-                  and _close(cfg, gauss.inner(gauss.refine(p, deeper), q),
-                             gauss.inner(p, q))
-                  and _close(cfg, gauss.inner(p, gauss.refine(q, deeper)),
-                             gauss.inner(p, q)))
-            r.case(ok, level=level)
-    reports.append(r)
+                    "and inner products") as r:
+        for level in range(1, cfg.level_max + 1):
+            for _ in range(10):
+                p = gauss.from_fock(_random_vector(cfg, level, rng))
+                q = gauss.from_fock(_random_vector(cfg, level, rng))
+                deeper = level + 1
+                ok = (_close(cfg, gauss.moment(gauss.refine(p, deeper)),
+                             gauss.moment(p))
+                      and _close(cfg, gauss.inner(gauss.refine(p, deeper), q),
+                                 gauss.inner(p, q))
+                      and _close(cfg, gauss.inner(p, gauss.refine(q, deeper)),
+                                 gauss.inner(p, q)))
+                r.case(ok, level=level)
 
-    r = SuiteReport("beta", "koopman-unitary",
+    with checks.run("koopman-unitary",
                     "composition with a torus step preserves inner products "
-                    "and is multiplicative")
-    for level in range(1, cfg.level_max + 1):
-        for _ in range(8):
-            g = _random_step(cfg, level, rng)
-            h = _random_step(cfg, level, rng)
-            p = gauss.from_fock(_random_vector(cfg, level, rng))
-            ok = (_close(cfg, gauss.norm2(gauss.koopman(g, p)), gauss.norm2(p))
-                  and _equal(cfg, gauss.koopman(g, gauss.koopman(h, p)),
-                             gauss.koopman(g * h, p))
-                  and _equal(cfg,
-                             gauss.koopman(TorusStep.identity(level, cfg.backend), p),
-                             p))
-            r.case(ok, level=level)
-    reports.append(r)
+                    "and is multiplicative") as r:
+        for level in range(1, cfg.level_max + 1):
+            for _ in range(8):
+                g = _random_step(cfg, level, rng)
+                h = _random_step(cfg, level, rng)
+                p = gauss.from_fock(_random_vector(cfg, level, rng))
+                ok = (_close(cfg, gauss.norm2(gauss.koopman(g, p)), gauss.norm2(p))
+                      and _equal(cfg, gauss.koopman(g, gauss.koopman(h, p)),
+                                 gauss.koopman(g * h, p))
+                      and _equal(cfg,
+                                 gauss.koopman(TorusStep.identity(level, cfg.backend),
+                                               p),
+                                 p))
+                r.case(ok, level=level)
 
-    r = SuiteReport("beta", "torus-equivariance",
-                    "realizing then composing equals acting then realizing")
-    for level in range(1, cfg.level_max + 1):
-        for _ in range(8):
-            g = _random_step(cfg, level, rng)
-            v = _random_vector(cfg, level, rng)
-            r.case(_equal(cfg, gauss.from_fock(fock.act(g, v)),
-                          gauss.koopman(g, gauss.from_fock(v))),
-                   level=level)
-    reports.append(r)
+    with checks.run("torus-equivariance",
+                    "realizing then composing equals acting then realizing") as r:
+        for level in range(1, cfg.level_max + 1):
+            for _ in range(8):
+                g = _random_step(cfg, level, rng)
+                v = _random_vector(cfg, level, rng)
+                r.case(_equal(cfg, gauss.from_fock(fock.act(g, v)),
+                              gauss.koopman(g, gauss.from_fock(v))),
+                       level=level)
 
-    r = SuiteReport("beta", "pairing-oracle",
-                    "moments match the brute-force pairing count")
-    level = min(cfg.level_max, 2)
-    variables = all_words(level)[:3]
-    degree_cap = min(6, 2 * cfg.degree_max)
-    for exps in _exponent_grid(len(variables), degree_cap):
-        mono = gauss.GaussMonomial.of({w: e for w, e in zip(variables, exps)
-                                       if e != (0, 0)})
-        if mono.is_constant:
-            continue
-        computed = gauss.moment(gauss.GaussPoly({mono: 1}))
-        r.case(computed == gauss.moment_by_pairings(mono),
-               monomial=mono, computed=computed)
-    reports.append(r)
-    return reports
+    with checks.run("pairing-oracle",
+                    "moments match the brute-force pairing count") as r:
+        level = min(cfg.level_max, 2)
+        variables = all_words(level)[:3]
+        degree_cap = min(6, 2 * cfg.degree_max)
+        for exps in _exponent_grid(len(variables), degree_cap):
+            mono = gauss.GaussMonomial.of({w: e for w, e in zip(variables, exps)
+                                           if e != (0, 0)})
+            if mono.is_constant:
+                continue
+            computed = gauss.moment(gauss.GaussPoly({mono: 1}))
+            r.case(computed == gauss.moment_by_pairings(mono),
+                   monomial=mono, computed=computed)
+    return checks.reports
 
 
 def _exponent_grid(variables: int, degree_cap: int):
@@ -522,134 +534,124 @@ def _exponent_grid(variables: int, degree_cap: int):
 
 def coherence_suites(cfg: RunConfig) -> List[SuiteReport]:
     rng = random.Random(cfg.seed + 3)
-    reports = []
+    checks = _Checks("coherence")
 
-    r = SuiteReport("coherence", "embed-step",
-                    "refining a realized vector equals realizing its embedding")
-    for level in range(1, cfg.level_max + 1):
-        basis = _basis(level, cfg.degree_max)
-        if level >= 2:
-            basis = tuple(basis[i] for i in
-                          sorted(rng.sample(range(len(basis)), min(120, len(basis)))))
-        for w in basis:
-            b = fock.basic(w, cfg.backend)
-            r.case(_equal(cfg, steps.from_fock(b).refine(),
-                          steps.from_fock(fock.embed(b))), word=w)
-        for _ in range(6):
-            v = _random_vector(cfg, level, rng)
-            r.case(_equal(cfg, steps.from_fock(v).refine(),
-                          steps.from_fock(fock.embed(v))), level=level)
-    reports.append(r)
+    with checks.run("embed-step",
+                    "refining a realized vector equals realizing its embedding") as r:
+        for level in range(1, cfg.level_max + 1):
+            basis = _basis(level, cfg.degree_max)
+            if level >= 2:
+                basis = tuple(basis[i] for i in sorted(
+                    rng.sample(range(len(basis)), min(120, len(basis)))))
+            for w in basis:
+                b = fock.basic(w, cfg.backend)
+                r.case(_equal(cfg, steps.from_fock(b).refine(),
+                              steps.from_fock(fock.embed(b))), word=w)
+            for _ in range(6):
+                v = _random_vector(cfg, level, rng)
+                r.case(_equal(cfg, steps.from_fock(v).refine(),
+                              steps.from_fock(fock.embed(v))), level=level)
 
-    r = SuiteReport("coherence", "embed-gauss",
+    with checks.run("embed-gauss",
                     "rewriting a realized polynomial one level deeper equals "
-                    "realizing the embedding")
-    for level in range(1, cfg.level_max + 1):
-        basis = _basis(level, cfg.degree_max)
-        if level >= 2:
-            basis = tuple(basis[i] for i in
-                          sorted(rng.sample(range(len(basis)), min(120, len(basis)))))
-        for w in basis:
-            b = fock.basic(w, cfg.backend)
-            r.case(_equal(cfg, gauss.refine(gauss.from_fock(b), level + 1),
-                          gauss.from_fock(fock.embed(b))), word=w)
-    reports.append(r)
+                    "realizing the embedding") as r:
+        for level in range(1, cfg.level_max + 1):
+            basis = _basis(level, cfg.degree_max)
+            if level >= 2:
+                basis = tuple(basis[i] for i in sorted(
+                    rng.sample(range(len(basis)), min(120, len(basis)))))
+            for w in basis:
+                b = fock.basic(w, cfg.backend)
+                r.case(_equal(cfg, gauss.refine(gauss.from_fock(b), level + 1),
+                              gauss.from_fock(fock.embed(b))), word=w)
 
-    r = SuiteReport("coherence", "embed-equivariance",
+    with checks.run("embed-equivariance",
                     "the embedding intertwines the torus actions at "
-                    "consecutive levels")
-    for level in range(1, cfg.level_max + 1):
-        for _ in range(8):
-            g = _random_step(cfg, level, rng)
-            v = _random_vector(cfg, level, rng)
-            r.case(_equal(cfg, fock.embed(fock.act(g, v)),
-                          fock.act(g, fock.embed(v))), level=level)
-    reports.append(r)
+                    "consecutive levels") as r:
+        for level in range(1, cfg.level_max + 1):
+            for _ in range(8):
+                g = _random_step(cfg, level, rng)
+                v = _random_vector(cfg, level, rng)
+                r.case(_equal(cfg, fock.embed(fock.act(g, v)),
+                              fock.act(g, fock.embed(v))), level=level)
 
-    r = SuiteReport("coherence", "cross-gram",
-                    "Fock, step, and polynomial inner products agree pairwise")
-    for level in range(1, cfg.level_max + 1):
-        basis = _basis(level, cfg.degree_max)
-        step_images = [steps.from_fock(fock.basic(w, cfg.backend)) for w in basis]
-        poly_images = [gauss.from_fock(fock.basic(w, cfg.backend)) for w in basis]
-        if level == 1:
-            pairs = itertools.combinations_with_replacement(range(len(basis)), 2)
-        else:
-            pairs = ([(i, i) for i in range(len(basis))]
-                     + _sample_pairs(700, len(basis), rng))
-        for i, j in pairs:
-            want = fock.inner(fock.basic(basis[i], cfg.backend),
-                              fock.basic(basis[j], cfg.backend))
-            ok = (_close(cfg, step_images[i].inner(step_images[j]), want)
-                  and _close(cfg, gauss.inner(poly_images[i], poly_images[j]), want))
-            r.case(ok, u=basis[i], v=basis[j], expected=want)
-    reports.append(r)
-    return reports
+    with checks.run("cross-gram",
+                    "Fock, step, and polynomial inner products agree pairwise") as r:
+        for level in range(1, cfg.level_max + 1):
+            basis = _basis(level, cfg.degree_max)
+            step_images = [steps.from_fock(fock.basic(w, cfg.backend)) for w in basis]
+            poly_images = [gauss.from_fock(fock.basic(w, cfg.backend)) for w in basis]
+            for i, j in _pairs(level, len(basis), 700, rng, diagonal=True):
+                want = fock.inner(fock.basic(basis[i], cfg.backend),
+                                  fock.basic(basis[j], cfg.backend))
+                ok = (_close(cfg, step_images[i].inner(step_images[j]), want)
+                      and _close(cfg, gauss.inner(poly_images[i], poly_images[j]),
+                                 want))
+                r.case(ok, u=basis[i], v=basis[j], expected=want)
+    return checks.reports
 
 
 # ------------------------------------------------------------------- density
 
 def density_suites(cfg: RunConfig) -> List[SuiteReport]:
-    reports = []
+    checks = _Checks("density")
 
-    r = SuiteReport("density", "remainder-rate",
+    with checks.run("remainder-rate",
                     "diagonal remainders decay at the closed-form rate; the "
-                    "k = m centering is the exact mean, not sqrt(m!)")
-    for depth in range(1, min(3, cfg.depth_max) + 1):
-        for k in range(0, 5):
-            for m in range(0, 5):
-                if not 1 <= k + m <= 4:
-                    continue
-                rate = gauss.remainder_rate((), k, m, depth)
-                ok = rate.matches_closed_form
-                if k == m:
-                    expected_flag = (m == 1)
-                    ok = ok and rate.centering_matches_sqrt_factorial is expected_flag
-                    ok = ok and rate.centering == Fraction(math.factorial(m),
-                                                           2 ** (depth * (m - 1)))
-                else:
-                    ok = ok and rate.centering == 0
-                    ok = ok and rate.centering_matches_sqrt_factorial is None
-                r.case(ok, k=k, m=m, depth=depth, centering=rate.centering,
-                       norm2=rate.norm2_centered, closed_form=rate.closed_form)
-    reports.append(r)
+                    "k = m centering is the exact mean, not sqrt(m!)") as r:
+        for depth in range(1, min(3, cfg.depth_max) + 1):
+            for k in range(0, 5):
+                for m in range(0, 5):
+                    if not 1 <= k + m <= 4:
+                        continue
+                    rate = gauss.remainder_rate((), k, m, depth)
+                    ok = rate.matches_closed_form
+                    if k == m:
+                        expected_flag = (m == 1)
+                        ok = (ok and rate.centering_matches_sqrt_factorial
+                              is expected_flag)
+                        ok = ok and rate.centering == Fraction(math.factorial(m),
+                                                               2 ** (depth * (m - 1)))
+                    else:
+                        ok = ok and rate.centering == 0
+                        ok = ok and rate.centering_matches_sqrt_factorial is None
+                    r.case(ok, k=k, m=m, depth=depth, centering=rate.centering,
+                           norm2=rate.norm2_centered, closed_form=rate.closed_form)
 
-    r = SuiteReport("density", "power-expansion",
+    with checks.run("power-expansion",
                     "powers of one variable expand into the child-index sum, "
-                    "with the constant-index part equal to the remainder")
-    for k, m, depth in [(k, m, d)
-                        for d in (1, 2) for k in range(0, 5) for m in range(0, 5)
-                        if 1 <= k + m <= 4] + \
-                       [(k, m, 3) for k in range(0, 3) for m in range(0, 3)
-                        if 1 <= k + m <= 2]:
-        if depth > cfg.depth_max:
-            continue
-        rep = gauss.power_expansion_report((), k, m, depth)
-        r.case(rep.passed, k=k, m=m, depth=depth,
-               identity=rep.identity_holds, remainder=rep.remainder_matches)
-    reports.append(r)
+                    "with the constant-index part equal to the remainder") as r:
+        for k, m, depth in [(k, m, d)
+                            for d in (1, 2) for k in range(0, 5) for m in range(0, 5)
+                            if 1 <= k + m <= 4] + \
+                           [(k, m, 3) for k in range(0, 3) for m in range(0, 3)
+                            if 1 <= k + m <= 2]:
+            if depth > cfg.depth_max:
+                continue
+            rep = gauss.power_expansion_report((), k, m, depth)
+            r.case(rep.passed, k=k, m=m, depth=depth,
+                   identity=rep.identity_holds, remainder=rep.remainder_matches)
 
-    r = SuiteReport("density", "disjoint-product",
+    with checks.run("disjoint-product",
                     "moments multiply across disjoint subtrees and agree with "
-                    "the pairing oracle")
-    rng = random.Random(cfg.seed + 4)
-    left_vars = [make_word("00"), make_word("01")]
-    right_vars = [make_word("10"), make_word("11")]
-    for _ in range(40):
-        lm = {w: (rng.randrange(3), rng.randrange(3)) for w in left_vars}
-        rm = {w: (rng.randrange(3), rng.randrange(3)) for w in right_vars}
-        a = gauss.GaussMonomial.of({w: e for w, e in lm.items() if e != (0, 0)})
-        b = gauss.GaussMonomial.of({w: e for w, e in rm.items() if e != (0, 0)})
-        prod = a * b
-        if prod.is_constant or prod.degree > 6:
-            continue
-        lhs = gauss.moment(gauss.GaussPoly({prod: 1}))
-        rhs = (gauss.moment(gauss.GaussPoly({a: 1}))
-               * gauss.moment(gauss.GaussPoly({b: 1})))
-        r.case(lhs == rhs == gauss.moment_by_pairings(prod),
-               left=a, right=b, product_moment=lhs, split=rhs)
-    reports.append(r)
-    return reports
+                    "the pairing oracle") as r:
+        rng = random.Random(cfg.seed + 4)
+        left_vars = [make_word("00"), make_word("01")]
+        right_vars = [make_word("10"), make_word("11")]
+        for _ in range(40):
+            lm = {w: (rng.randrange(3), rng.randrange(3)) for w in left_vars}
+            rm = {w: (rng.randrange(3), rng.randrange(3)) for w in right_vars}
+            a = gauss.GaussMonomial.of({w: e for w, e in lm.items() if e != (0, 0)})
+            b = gauss.GaussMonomial.of({w: e for w, e in rm.items() if e != (0, 0)})
+            prod = a * b
+            if prod.is_constant or prod.degree > 6:
+                continue
+            lhs = gauss.moment(gauss.GaussPoly({prod: 1}))
+            rhs = (gauss.moment(gauss.GaussPoly({a: 1}))
+                   * gauss.moment(gauss.GaussPoly({b: 1})))
+            r.case(lhs == rhs == gauss.moment_by_pairings(prod),
+                   left=a, right=b, product_moment=lhs, split=rhs)
+    return checks.reports
 
 
 # ------------------------------------------------------------------ spectral
@@ -662,141 +664,134 @@ def _index_catalog() -> List[IndexFunction]:
 
 def spectral_suites(cfg: RunConfig) -> List[SuiteReport]:
     rng = random.Random(cfg.seed + 5)
-    reports = []
+    checks = _Checks("spectral")
     catalog = _index_catalog()
     richer = catalog + [index_pq(2, 1), IndexFunction.of({1: 2, -1: 1}),
                         IndexFunction.of({3: 1, 1: 1})]
 
-    r = SuiteReport("spectral", "good-permutations",
+    with checks.run("good-permutations",
                     "level-preserving slot bijections are exactly the good "
-                    "ones and number prod x(k)!")
-    for x in richer:
-        perms = spectral.good_permutations(x)
-        slots = x.slots()
-        brute = []
-        for perm in itertools.permutations(range(len(slots))):
-            if all(slots[i][0] == slots[j][0] for i, j in enumerate(perm)):
-                brute.append(perm)
-        expected = math.prod(math.factorial(c) for _, c in x.items)
-        r.case(len(perms) == len(set(perms)) == expected
-               and set(perms) == set(brute), index=x,
-               count=len(perms), expected=expected)
-    reports.append(r)
+                    "ones and number prod x(k)!") as r:
+        for x in richer:
+            perms = spectral.good_permutations(x)
+            slots = x.slots()
+            brute = []
+            for perm in itertools.permutations(range(len(slots))):
+                if all(slots[i][0] == slots[j][0] for i, j in enumerate(perm)):
+                    brute.append(perm)
+            expected = math.prod(math.factorial(c) for _, c in x.items)
+            r.case(len(perms) == len(set(perms)) == expected
+                   and set(perms) == set(brute), index=x,
+                   count=len(perms), expected=expected)
 
-    r = SuiteReport("spectral", "phase-action",
+    with checks.run("phase-action",
                     "grid phases are unimodular, multiplicative, invariant "
-                    "under good permutations, and reduce to the word phase")
-    for x in [index_pq(1, 0), index_pq(1, 1), index_pq(2, 0), index_pq(2, 1)]:
-        depth = 2
-        g = _random_step(cfg, depth, rng)
-        h = _random_step(cfg, depth, rng)
-        slots = x.slots()
-        for assignment in itertools.product(all_words(depth), repeat=len(slots)):
-            val = spectral.phase_at(x, g, assignment)
-            ok = _close(cfg, scalars.abs2(val), 1)
-            ok = ok and _close(cfg, spectral.phase_at(x, g * h, assignment),
-                               val * spectral.phase_at(x, h, assignment))
-            for perm in spectral.good_permutations(x):
-                moved = tuple(assignment[i] for i in perm)
-                ok = ok and _close(cfg, spectral.phase_at(x, g, moved), val)
-            r.case(ok, index=x, assignment=assignment)
-    for level in range(1, min(cfg.level_max, 2) + 1):
-        for w in _basis(level, min(cfg.degree_max, 3)):
-            g = _random_step(cfg, level, rng)
-            p, q = w.degrees
-            x = index_pq(p, q)
-            for cell in steps.support_cells(w):
-                assignment = cell.right + cell.left
-                r.case(_close(cfg, spectral.phase_at(x, g, assignment),
-                              g.character(w.charges())), word=w, cell=cell)
-    reports.append(r)
+                    "under good permutations, and reduce to the word phase") as r:
+        for x in [index_pq(1, 0), index_pq(1, 1), index_pq(2, 0), index_pq(2, 1)]:
+            depth = 2
+            g = _random_step(cfg, depth, rng)
+            h = _random_step(cfg, depth, rng)
+            slots = x.slots()
+            for assignment in itertools.product(all_words(depth), repeat=len(slots)):
+                val = spectral.phase_at(x, g, assignment)
+                ok = _close(cfg, scalars.abs2(val), 1)
+                ok = ok and _close(cfg, spectral.phase_at(x, g * h, assignment),
+                                   val * spectral.phase_at(x, h, assignment))
+                for perm in spectral.good_permutations(x):
+                    moved = tuple(assignment[i] for i in perm)
+                    ok = ok and _close(cfg, spectral.phase_at(x, g, moved), val)
+                r.case(ok, index=x, assignment=assignment)
+        for level in range(1, min(cfg.level_max, 2) + 1):
+            for w in _basis(level, min(cfg.degree_max, 3)):
+                g = _random_step(cfg, level, rng)
+                p, q = w.degrees
+                x = index_pq(p, q)
+                for cell in steps.support_cells(w):
+                    assignment = cell.right + cell.left
+                    r.case(_close(cfg, spectral.phase_at(x, g, assignment),
+                                  g.character(w.charges())), word=w, cell=cell)
 
-    r = SuiteReport("spectral", "tensor-product",
+    with checks.run("tensor-product",
                     "tensor products sum prod (x+y)(k)! pairings and multiply "
-                    "masses; uniform measures tensor to scaled uniforms")
-    for x, y in itertools.combinations_with_replacement(catalog, 2):
-        if (x + y).total() > 4:
-            continue
-        count = spectral.pairing_count(x, y)
-        expected = math.prod(math.factorial(c) for _, c in (x + y).items)
-        depth = min(2, cfg.depth_max)
-        mu = DepthMeasure.uniform(x, depth)
-        nu = DepthMeasure.uniform(y, depth)
-        prod = mu.tensor(nu)
-        ok = (count == expected
-              and prod == DepthMeasure.uniform(x + y, depth).scaled_mass(
-                  Fraction(count))
-              and prod.mass() == count * mu.mass() * nu.mass())
-        weights = {cell: Fraction(rng.randrange(1, 5), 8)
-                   for cell in itertools.islice(
-                       itertools.product(all_words(depth), repeat=len(x.slots())), 3)}
-        rand_mu = DepthMeasure(x, depth, weights)
-        ok = ok and (rand_mu.tensor(nu).mass()
-                     == count * rand_mu.mass() * nu.mass())
-        r.case(ok, x=x, y=y, pairings=count, expected=expected)
-    reports.append(r)
+                    "masses; uniform measures tensor to scaled uniforms") as r:
+        for x, y in itertools.combinations_with_replacement(catalog, 2):
+            if (x + y).total() > 4:
+                continue
+            count = spectral.pairing_count(x, y)
+            expected = math.prod(math.factorial(c) for _, c in (x + y).items)
+            depth = min(2, cfg.depth_max)
+            mu = DepthMeasure.uniform(x, depth)
+            nu = DepthMeasure.uniform(y, depth)
+            prod = mu.tensor(nu)
+            ok = (count == expected
+                  and prod == DepthMeasure.uniform(x + y, depth).scaled_mass(
+                      Fraction(count))
+                  and prod.mass() == count * mu.mass() * nu.mass())
+            cells = itertools.product(all_words(depth), repeat=len(x.slots()))
+            weights = {cell: Fraction(rng.randrange(1, 5), 8)
+                       for cell in itertools.islice(cells, 3)}
+            rand_mu = DepthMeasure(x, depth, weights)
+            ok = ok and (rand_mu.tensor(nu).mass()
+                         == count * rand_mu.mass() * nu.mass())
+            r.case(ok, x=x, y=y, pairings=count, expected=expected)
 
-    r = SuiteReport("spectral", "relabeling",
-                    "relabeling rescales levels, preserves mass, and composes")
-    for x in catalog:
-        for m in (-2, -1, 1, 2):
-            mu = DepthMeasure.uniform(x, min(2, cfg.depth_max))
-            moved = mu.relabel(m)
-            ok = (moved.index == x.scaled(m) and moved.mass() == mu.mass()
-                  and moved.relabel(-1) == mu.relabel(-m))
-            if m == -1:
-                ok = ok and x.scaled(-1) == _flip(x)
-            r.case(ok, index=x, m=m)
-    reports.append(r)
+    with checks.run("relabeling",
+                    "relabeling rescales levels, preserves mass, and composes") as r:
+        for x in catalog:
+            for m in (-2, -1, 1, 2):
+                mu = DepthMeasure.uniform(x, min(2, cfg.depth_max))
+                moved = mu.relabel(m)
+                ok = (moved.index == x.scaled(m) and moved.mass() == mu.mass()
+                      and moved.relabel(-1) == mu.relabel(-m))
+                if m == -1:
+                    ok = ok and x.scaled(-1) == _flip(x)
+                r.case(ok, index=x, m=m)
 
-    r = SuiteReport("spectral", "spectral-table",
+    with checks.run("spectral-table",
                     "the maximal spectral type is the uniform product measure "
-                    "exactly on the unit-domain rows at multiplicity one")
-    for x in richer:
-        for j in (1, 2, 3):
-            mu = spectral.spectral_form(x, j, depth=min(2, cfg.depth_max))
-            expect_nonzero = (j == 1 and x.has_unit_domain())
-            ok = (not mu.is_zero) is expect_nonzero
-            if expect_nonzero:
-                ok = ok and mu.mass() == 1 and mu.is_good_invariant()
-            r.case(ok, index=x, j=j, nonzero=not mu.is_zero)
-    reports.append(r)
+                    "exactly on the unit-domain rows at multiplicity one") as r:
+        for x in richer:
+            for j in (1, 2, 3):
+                mu = spectral.spectral_form(x, j, depth=min(2, cfg.depth_max))
+                expect_nonzero = (j == 1 and x.has_unit_domain())
+                ok = (not mu.is_zero) is expect_nonzero
+                if expect_nonzero:
+                    ok = ok and mu.mass() == 1 and mu.is_good_invariant()
+                r.case(ok, index=x, j=j, nonzero=not mu.is_zero)
 
-    r = SuiteReport("spectral", "constraint-grid",
+    with checks.run("constraint-grid",
                     "the relabeled tensor is dominated exactly when every "
-                    "factor is unit-domain with unit coefficient, or vanishes")
-    coeffs = (-2, -1, 1, 2)
-    cases = ([((m,), (x,)) for m in coeffs for x in catalog]
-             + [((m1, m2), (x1, x2))
-                for m1 in coeffs for m2 in coeffs
-                for x1 in catalog for x2 in catalog])
-    for ms, xs in cases:
-        report = spectral.check_constraint(ms, xs, depth=min(2, cfg.depth_max))
-        lhs_zero = any(not x.has_unit_domain() for x in xs)
-        expected = lhs_zero or all(abs(m) == 1 for m in ms)
-        r.case(report.holds is expected and report.lhs_zero is lhs_zero,
-               coefficients=ms, indices=tuple(str(x) for x in xs),
-               holds=report.holds, expected=expected)
-    reports.append(r)
+                    "factor is unit-domain with unit coefficient, or vanishes") as r:
+        coeffs = (-2, -1, 1, 2)
+        cases = ([((m,), (x,)) for m in coeffs for x in catalog]
+                 + [((m1, m2), (x1, x2))
+                    for m1 in coeffs for m2 in coeffs
+                    for x1 in catalog for x2 in catalog])
+        for ms, xs in cases:
+            report = spectral.check_constraint(ms, xs, depth=min(2, cfg.depth_max))
+            lhs_zero = any(not x.has_unit_domain() for x in xs)
+            expected = lhs_zero or all(abs(m) == 1 for m in ms)
+            r.case(report.holds is expected and report.lhs_zero is lhs_zero,
+                   coefficients=ms, indices=tuple(str(x) for x in xs),
+                   holds=report.holds, expected=expected)
 
-    r = SuiteReport("spectral", "compatibility",
+    with checks.run("compatibility",
                     "uniform families are coherent, good-invariant, with "
-                    "nonincreasing diagonal cylinder masses")
-    depth_cap = min(3, cfg.depth_max)
-    for x in [index_pq(1, 0), index_pq(1, 1), index_pq(2, 0)]:
-        family = [spectral.spectral_form(x, 1, d) for d in range(1, depth_cap + 1)]
-        rep = spectral.compatibility_report(family)
-        strict = all(all(a > b for a, b in zip(seq, seq[1:]))
-                     for seq in rep.diagonal_masses.values())
-        r.case(rep.passed and rep.coherent and rep.good_invariant and strict,
-               index=x, diagonals={str(k): [str(f) for f in v]
-                                   for k, v in rep.diagonal_masses.items()})
-    x = index_pq(2, 0)
-    lopsided = DepthMeasure(x, 1, {(make_word("0"), make_word("1")): Fraction(1)})
-    rep = spectral.compatibility_report([lopsided])
-    r.case(not rep.passed and not rep.good_invariant, control="lopsided")
-    reports.append(r)
-    return reports
+                    "nonincreasing diagonal cylinder masses") as r:
+        depth_cap = min(3, cfg.depth_max)
+        for x in [index_pq(1, 0), index_pq(1, 1), index_pq(2, 0)]:
+            family = [spectral.spectral_form(x, 1, d) for d in range(1, depth_cap + 1)]
+            rep = spectral.compatibility_report(family)
+            strict = all(all(a > b for a, b in zip(seq, seq[1:]))
+                         for seq in rep.diagonal_masses.values())
+            r.case(rep.passed and rep.coherent and rep.good_invariant and strict,
+                   index=x, diagonals={str(k): [str(f) for f in v]
+                                       for k, v in rep.diagonal_masses.items()})
+        x = index_pq(2, 0)
+        lopsided = DepthMeasure(x, 1, {(make_word("0"), make_word("1")): Fraction(1)})
+        rep = spectral.compatibility_report([lopsided])
+        r.case(not rep.passed and not rep.good_invariant, control="lopsided")
+    return checks.reports
 
 
 def _flip(x: IndexFunction) -> IndexFunction:
@@ -842,69 +837,65 @@ def _moment_targets() -> List[Tuple[gauss.GaussPoly, complex]]:
 
 def simulate_suites(cfg: RunConfig) -> List[SuiteReport]:
     rng = random.Random(cfg.seed + 6)
-    reports = []
+    checks = _Checks("simulate")
     depth = min(6, cfg.depth_max)
 
-    r = SuiteReport("simulate", "tree-residual",
+    with checks.run("tree-residual",
                     "sampled trees satisfy the child-averaging relation to "
-                    "rounding error, before and after a torus step")
-    g = _random_step(cfg, min(2, depth), rng)
-    for i, tree in enumerate(montecarlo.sample_trees(depth, 20, cfg.seed)):
-        ok = tree.residual() <= 1e-12
-        moved = montecarlo.act(g, tree)
-        ok = ok and moved.residual() <= 1e-12
-        r.case(ok, sample=i, residual=tree.residual(),
-               moved_residual=moved.residual())
-    reports.append(r)
+                    "rounding error, before and after a torus step") as r:
+        g = _random_step(cfg, min(2, depth), rng)
+        for i, tree in enumerate(montecarlo.sample_trees(depth, 20, cfg.seed)):
+            ok = tree.residual() <= 1e-12
+            moved = montecarlo.act(g, tree)
+            ok = ok and moved.residual() <= 1e-12
+            r.case(ok, sample=i, residual=tree.residual(),
+                   moved_residual=moved.residual())
 
-    r = SuiteReport("simulate", "determinism",
+    with checks.run("determinism",
                     "a seed fixes the sample stream bit for bit; batching "
-                    "does not enter the estimates")
-    poly = gauss.GaussPoly.variable(make_word("0"))
-    poly = poly * poly.conj()
-    a = montecarlo.estimate(poly, 3000, depth, seed=cfg.seed)
-    b = montecarlo.estimate(poly, 3000, depth, seed=cfg.seed)
-    c = montecarlo.estimate(poly, 3000, depth, seed=cfg.seed + 1)
-    pair = montecarlo.estimate_many([poly, poly.conj() * poly], 3000, depth,
-                                    seed=cfg.seed)
-    r.case(a.mean == b.mean and a.std_error == b.std_error, kind="repeat")
-    r.case(a.mean != c.mean, kind="reseed")
-    r.case(pair[0].mean == a.mean, kind="shared-stream")
-    reports.append(r)
+                    "does not enter the estimates") as r:
+        poly = gauss.GaussPoly.variable(make_word("0"))
+        poly = poly * poly.conj()
+        a = montecarlo.estimate(poly, 3000, depth, seed=cfg.seed)
+        b = montecarlo.estimate(poly, 3000, depth, seed=cfg.seed)
+        c = montecarlo.estimate(poly, 3000, depth, seed=cfg.seed + 1)
+        pair = montecarlo.estimate_many([poly, poly.conj() * poly], 3000, depth,
+                                        seed=cfg.seed)
+        r.case(a.mean == b.mean and a.std_error == b.std_error, kind="repeat")
+        r.case(a.mean != c.mean, kind="reseed")
+        r.case(pair[0].mean == a.mean, kind="shared-stream")
 
-    r = SuiteReport("simulate", "moment-agreement",
+    with checks.run("moment-agreement",
                     "empirical means land within three standard errors of "
-                    "the exact moments, up to one allowed excursion")
-    targets = _moment_targets()
-    estimates = montecarlo.estimate_many([p for p, _ in targets], cfg.samples,
-                                         depth, seed=cfg.seed)
-    hits = 0
-    for (poly, exact), est in zip(targets, estimates):
-        ok = est.within(exact, 3.0)
-        hits += ok
-        r.case(True, poly=poly, exact=exact, mean=est.mean,
-               std_error=est.std_error, within=ok)
-    if hits < len(targets) - 1:
-        r.failures.append({"within_three_sigma": f"{hits}/{len(targets)}"})
-    reports.append(r)
+                    "the exact moments, up to one allowed excursion") as r:
+        targets = _moment_targets()
+        estimates = montecarlo.estimate_many([p for p, _ in targets], cfg.samples,
+                                             depth, seed=cfg.seed)
+        hits = 0
+        for (poly, exact), est in zip(targets, estimates):
+            ok = est.within(exact, 3.0)
+            hits += ok
+            r.case(True, poly=poly, exact=exact, mean=est.mean,
+                   std_error=est.std_error, within=ok)
+        if hits < len(targets) - 1:
+            r.failures.append({"within_three_sigma": f"{hits}/{len(targets)}"})
 
-    r = SuiteReport("simulate", "composed-agreement",
+    with checks.run("composed-agreement",
                     "estimating under a torus step matches estimating the "
-                    "composed polynomial on the same stream")
-    # eighth-root phases keep the composed polynomial's moment exact
-    g = TorusStep.random_eighth_roots(2, rng)
-    for poly, exact in targets[:6]:
-        base = gauss.refine(poly, max(2, poly.max_word_length()))
-        composed = gauss.koopman(g, base)
-        direct = montecarlo.estimate(base, 20_000, depth, seed=cfg.seed, step=g)
-        via_poly = montecarlo.estimate(composed, 20_000, depth, seed=cfg.seed)
-        scale = max(1.0, abs(via_poly.mean))
-        ok = abs(direct.mean - via_poly.mean) <= 1e-8 * scale
-        ok = ok and direct.within(complex(scalars.to_complex(
-            gauss.moment(composed))), 4.0)
-        r.case(ok, poly=poly, direct=direct.mean, composed=via_poly.mean)
-    reports.append(r)
-    return reports
+                    "composed polynomial on the same stream") as r:
+        # eighth-root phases keep the composed polynomial's moment exact
+        g = TorusStep.random_eighth_roots(2, rng)
+        for poly, exact in targets[:6]:
+            base = gauss.refine(poly, max(2, poly.max_word_length()))
+            composed = gauss.koopman(g, base)
+            direct = montecarlo.estimate(base, 20_000, depth, seed=cfg.seed, step=g)
+            via_poly = montecarlo.estimate(composed, 20_000, depth, seed=cfg.seed)
+            scale = max(1.0, abs(via_poly.mean))
+            ok = abs(direct.mean - via_poly.mean) <= 1e-8 * scale
+            ok = ok and direct.within(complex(scalars.to_complex(
+                gauss.moment(composed))), 4.0)
+            r.case(ok, poly=poly, direct=direct.mean, composed=via_poly.mean)
+    return checks.reports
 
 
 # ----------------------------------------------------------------- dispatch

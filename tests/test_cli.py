@@ -99,42 +99,82 @@ def test_failing_suite_exit_code(monkeypatch, capsys):
     assert "first counterexample" in out
 
 
-def test_cap_exit_code(monkeypatch, capsys):
+def _trip_tensor_cap(monkeypatch):
+    from treefock import spectral
     from treefock.errors import CapExceeded
 
-    def stub(cfg):
+    def capped(self, other):
         raise CapExceeded("demonstration cap")
 
-    monkeypatch.setitem(cli.COMMANDS, "verify-beta", stub)
-    code, _, err = run_cli(["verify-beta", *FAST], capsys)
+    monkeypatch.setattr(spectral.DepthMeasure, "tensor", capped)
+
+
+def _load_valid(path):
+    report = json.loads(path.read_text())
+    schema = json.loads(resources.files("treefock").joinpath(
+        "data/report_schema.json").read_text())
+    jsonschema.validate(report, schema)
+    return report
+
+
+def test_cap_exit_code(monkeypatch, capsys):
+    args = ["verify-spectral", "--format", "json", *FAST]
+    _, out, _ = run_cli(args, capsys)
+    clean = {s["check"]: s["cases"] for s in json.loads(out)["suites"]}
+    _trip_tensor_cap(monkeypatch)
+    code, out, err = run_cli(args, capsys)
     assert code == cli.EXIT_CAP
     assert "demonstration cap" in err
+    checks = {s["check"]: s for s in json.loads(out)["suites"]}
+    # the cap fails the two checks that take tensor products, and only them
+    assert list(checks) == list(clean)
+    for name in ("tensor-product", "constraint-grid"):
+        assert {"cap": "demonstration cap"} in checks[name]["failures"]
+        assert checks[name]["passed"] is False
+    # the checks before and after them run to their usual case counts
+    for name in ("good-permutations", "phase-action", "relabeling",
+                 "spectral-table", "compatibility"):
+        assert checks[name]["passed"] is True
+        assert checks[name]["cases"] == clean[name]
 
 
 def test_cap_still_writes_the_report(monkeypatch, tmp_path, capsys):
-    from treefock.errors import CapExceeded
-
-    def stub(cfg):
-        raise CapExceeded("demonstration cap")
-
-    monkeypatch.setitem(cli.COMMANDS, "verify-beta", stub)
+    _trip_tensor_cap(monkeypatch)
     target = tmp_path / "report.json"
     code, out, err = run_cli(["all", "--format", "json",
                               "--output", str(target), *FAST], capsys)
     assert code == cli.EXIT_CAP
     assert out == "" and "demonstration cap" in err
-    report = json.loads(target.read_text())
-    schema = json.loads(resources.files("treefock").joinpath(
-        "data/report_schema.json").read_text())
-    jsonschema.validate(report, schema)
-    [capped] = [s for s in report["suites"] if s["check"] == cli.CAP_CHECK]
-    assert capped["suite"] == "verify-beta" and capped["passed"] is False
-    assert capped["failures"] == [{"cap": "demonstration cap"}]
+    report = _load_valid(target)
     assert report["summary"]["passed"] is False
-    # the commands after the capped one still ran
-    suites = {s["suite"] for s in report["suites"]}
-    assert {"coherence", "density", "spectral", "simulate"} <= suites
-    assert "beta" not in suites
+    failing = {(s["suite"], s["check"]) for s in report["suites"] if not s["passed"]}
+    assert failing == {("spectral", "tensor-product"),
+                       ("spectral", "constraint-grid")}
+    # the command after the capped one still ran
+    assert any(s["suite"] == "simulate" for s in report["suites"])
+
+
+def test_exception_fails_only_its_own_check(monkeypatch, tmp_path, capsys):
+    from treefock import gauss
+
+    def broken(mono):
+        raise RuntimeError("demonstration fault")
+
+    monkeypatch.setattr(gauss, "moment_by_pairings", broken)
+    target = tmp_path / "report.json"
+    code, out, err = run_cli(["all", "--format", "json",
+                              "--output", str(target), *FAST], capsys)
+    assert code == cli.EXIT_FAILED
+    assert out == "" and err == ""
+    report = _load_valid(target)
+    fault = {"exception": "RuntimeError", "message": "demonstration fault"}
+    failing = {(s["suite"], s["check"]): s["failures"]
+               for s in report["suites"] if not s["passed"]}
+    assert failing == {("beta", "pairing-oracle"): [fault],
+                       ("density", "disjoint-product"): [fault]}
+    # the commands after the faulty checks still ran
+    assert {s["suite"] for s in report["suites"]} == {
+        "fock", "alpha", "beta", "coherence", "density", "spectral", "simulate"}
 
 
 def test_all_command_covers_every_suite(capsys):

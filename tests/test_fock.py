@@ -56,7 +56,7 @@ def test_vector_algebra():
 
 def test_degree_cap():
     with pytest.raises(CapExceeded):
-        fock.FockVector(1, {W("0 0 0 0 0 0"): 1}, max_degree=5)
+        fock.FockVector(1, {W("0 0 0 0 0 0"): 1})
 
 
 def test_embed_single_letter():
