@@ -3,7 +3,9 @@
 Exit codes: 0 every check passed, 1 a check failed (a counterexample, or
 an exception its guard recorded), 2 usage error, 3 a check exceeded an
 enumeration cap (the report names it as a failing check, and every other
-check still ran), 4 the report could not be written.
+check still ran), 4 the report could not be written.  Each cap and each
+exception a guard recorded is also printed on one stderr line; an
+exception's line names its check and where it was raised.
 Reports are deterministic for a fixed configuration except for the
 timing section, which is kept separate from the suite results.
 """
@@ -163,6 +165,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     caps = [f["cap"] for s in suites for f in s.failures if "cap" in f]
     for cap in caps:
         print(f"treefock: {cap}", file=sys.stderr)
+    for s in suites:
+        for f in s.failures:
+            if "exception" in f:
+                print(f"treefock: {s.suite}/{s.check}: {f['exception']}: "
+                      f"{f['message']} at {f['where']}", file=sys.stderr)
     rendered = _RENDERERS[cfg.fmt](cfg, suites, timings)
     try:
         if cfg.output:

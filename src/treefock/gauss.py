@@ -104,16 +104,6 @@ class GaussMonomial:
             merged[w] = (pa + a, pb + b)
         return GaussMonomial.of(merged)
 
-    def evaluate(self, assignment: Mapping[Word, object]):
-        out = 1
-        for w, a, b in self.exps:
-            z = assignment[w]
-            if a:
-                out = out * z ** a
-            if b:
-                out = out * z.conjugate() ** b
-        return out
-
     def __str__(self) -> str:
         if not self.exps:
             return "1"
@@ -167,13 +157,6 @@ class GaussPoly(Combination):
 
     def conj(self) -> "GaussPoly":
         return GaussPoly({m.conj(): scalars.conj(c) for m, c in self.terms.items()})
-
-    def evaluate(self, assignment: Mapping[Word, object]):
-        out = 0
-        for m, c in self.terms.items():
-            val = m.evaluate(assignment)
-            out = out + (complex(c) if not isinstance(c, (int, float, complex)) else c) * val
-        return out
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*{m}" for m, c in sorted(

@@ -1,32 +1,33 @@
 """Monte Carlo sampling of the Gaussian tree and empirical moment estimates.
 
-A sample draws independent standard complex Gaussians on the depth-K leaves
-and fills interior words by the averaging identity f(s) = (f(s0)+f(s1))/sqrt2,
-so every finite tree satisfies the defining constraint up to float rounding.
-A torus step acts by multiplying each leaf by the step's value on its cell,
-after which the interior is recomputed.
+A sample is a row of independent standard complex Gaussians on the 2**K
+depth-K leaves, and the leaf array is the only sampled tree.  Every word s
+above the leaves is read off its leaf block as 2**(-gap/2) times the block's
+sum, gap = K - len(s): the averaging identity f(s) = (f(s0)+f(s1))/sqrt2
+unrolled, so every finite tree satisfies the defining constraint up to
+float rounding.  A torus step acts by multiplying each leaf by the step's
+value on its cell.
 
 Streams come from the counter-based Philox generator keyed by the seed and
 are drawn sample-major: sample i takes the next 2 * 2**depth normals, leaf by
 leaf as (real, imaginary) pairs.  Sample i therefore does not depend on how
-many samples are drawn at once: ``sample_trees`` and ``estimate_many`` see
-the same trees for a seed, an estimate over n samples averages the first n
-of them, and estimates are bit-reproducible for a given (seed, samples,
-depth).
+many samples are drawn at once: row i of ``sample_trees`` is the tree that
+``estimate_many`` sees as sample i for the same seed, an estimate over n
+samples averages the first n of them, and estimates are bit-reproducible
+for a given (seed, samples, depth).
 
-Polynomial evaluation is vectorized over fixed-size blocks of samples.  A
-variable above the leaves is read off as the normalized sum of its leaf
-block, which agrees with the pairwise averaging up to rounding.  Each block
-builds the powers of every variable and of its conjugate once, then each
-distinct factor z^a conj(z)^b once, and forms every monomial as its
-coefficient times the product of its factors.
+Polynomial evaluation is vectorized over fixed-size blocks of samples.
+Each block reads its variables off the leaves, builds the powers of every
+variable and of its conjugate once, then each distinct factor
+z^a conj(z)^b once, and forms every monomial as its coefficient times the
+product of its factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,32 +40,6 @@ MAX_SAMPLE_DEPTH = 16
 _BLOCK = 1 << 12
 
 _SQRT_HALF = 2.0 ** -0.5
-
-
-@dataclass
-class TreeSample:
-    """One realization of the tree down to ``depth``."""
-
-    depth: int
-    values: Dict[Word, complex]
-
-    def residual(self) -> float:
-        """Largest violation of f(s) = (f(s0) + f(s1))/sqrt2 over interior words."""
-        worst = 0.0
-        for w, v in self.values.items():
-            if len(w) == self.depth:
-                continue
-            avg = (self.values[w + (0,)] + self.values[w + (1,)]) * _SQRT_HALF
-            worst = max(worst, abs(v - avg))
-        return worst
-
-
-def _interior_from_leaves(depth: int, leaves: Sequence[complex]) -> Dict[Word, complex]:
-    values: Dict[Word, complex] = {w: complex(z) for w, z in zip(all_words(depth), leaves)}
-    for length in range(depth - 1, -1, -1):
-        for w in all_words(length):
-            values[w] = (values[w + (0,)] + values[w + (1,)]) * _SQRT_HALF
-    return values
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -82,33 +57,14 @@ def _draw_leaves(gen: np.random.Generator, leaves: np.ndarray) -> None:
     leaves *= _SQRT_HALF
 
 
-def _draw_tree(gen: np.random.Generator, depth: int) -> TreeSample:
-    leaves = np.empty((1, 2 ** depth), dtype=complex)
-    _draw_leaves(gen, leaves)
-    return TreeSample(depth, _interior_from_leaves(depth, leaves[0]))
-
-
-def sample_tree(depth: int, seed: int = 0) -> TreeSample:
-    """One sample at the given depth, deterministic in the seed."""
+def sample_trees(depth: int, count: int, seed: int = 0) -> np.ndarray:
+    """The (count, 2**depth) leaves of the first ``count`` samples of the
+    stream; row i is sample i however many are taken."""
     if depth < 0 or depth > MAX_SAMPLE_DEPTH:
         raise CapExceeded(f"sample depth outside 0..{MAX_SAMPLE_DEPTH}")
-    return _draw_tree(_generator(seed), depth)
-
-
-def sample_trees(depth: int, count: int, seed: int = 0) -> Iterator[TreeSample]:
-    """A stream of samples; sample i is independent of how many are taken."""
-    if depth < 0 or depth > MAX_SAMPLE_DEPTH:
-        raise CapExceeded(f"sample depth outside 0..{MAX_SAMPLE_DEPTH}")
-    gen = _generator(seed)
-    for _ in range(count):
-        yield _draw_tree(gen, depth)
-
-
-def act(g: TorusStep, tree: TreeSample) -> TreeSample:
-    """The boolean action: phase the leaves, then re-average upward."""
-    leaves = [complex(ph) * tree.values[w]
-              for ph, w in zip(_leaf_phases(g, tree.depth), all_words(tree.depth))]
-    return TreeSample(tree.depth, _interior_from_leaves(tree.depth, leaves))
+    leaves = np.empty((count, 2 ** depth), dtype=complex)
+    _draw_leaves(_generator(seed), leaves)
+    return leaves
 
 
 def _leaf_phases(g: Optional[TorusStep], depth: int) -> Optional[np.ndarray]:
@@ -121,6 +77,8 @@ def _leaf_phases(g: Optional[TorusStep], depth: int) -> Optional[np.ndarray]:
 
 def _variable_columns(leaves: np.ndarray, depth: int,
                       variables: Sequence[Word]) -> Dict[Word, np.ndarray]:
+    """Each variable's values over the samples: a leaf's own column, and
+    above the leaves the normalized sum of the word's leaf block."""
     cols: Dict[Word, np.ndarray] = {}
     for w in variables:
         gap = depth - len(w)

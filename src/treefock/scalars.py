@@ -378,10 +378,6 @@ def one(backend: str = EXACT) -> Scalar:
     return 1 if backend == EXACT else complex(1.0)
 
 
-def zero(backend: str = EXACT) -> Scalar:
-    return 0 if backend == EXACT else complex(0.0)
-
-
 def sqrt2_pow(exponent: int, backend: str = EXACT) -> Scalar:
     """sqrt2**exponent for any integer exponent, exact or float."""
     if backend != EXACT:

@@ -5,25 +5,30 @@ enumerates its cases, compares computed values against closed forms or
 independent oracles, and records the case count and the first
 counterexamples.  Each check body runs under its own guard: a CapExceeded
 is recorded on that check as ``{"cap": message}`` and any other exception
-as ``{"exception": type name, "message": message}``, and the suite goes on
-to its next check.  Suites are deterministic for a given RunConfig;
+as ``{"exception": type name, "message": message, "where": "file:line in
+function"}``, naming the innermost frame of its traceback, and the suite
+goes on to its next check.  Suites are deterministic for a given RunConfig;
 randomness comes only from the config's seed.
 
 On the exact backend every comparison is literal equality of exact scalars.
 On the float backend torus steps carry arbitrary angles and comparisons
-allow the configured tolerance.
+allow the tolerance FLOAT_TOL.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from . import fock, gauss, montecarlo, scalars, spectral, steps
 from .errors import CapExceeded
@@ -47,7 +52,6 @@ class RunConfig:
     backend: str = EXACT
     fmt: str = "text"
     output: Optional[str] = None
-    float_tol: float = FLOAT_TOL
 
     def validate(self) -> None:
         if not 1 <= self.level_max <= 4:
@@ -72,7 +76,7 @@ class RunConfig:
             "samples": self.samples,
             "seed": self.seed,
             "backend": self.backend,
-            "float_tol": self.float_tol,
+            "float_tol": FLOAT_TOL,
         }
 
 
@@ -124,8 +128,11 @@ class _Checks:
         except CapExceeded as exc:
             r.failures.append({"cap": str(exc)})
         except Exception as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
             r.failures.append({"exception": type(exc).__name__,
-                               "message": str(exc)})
+                               "message": str(exc),
+                               "where": f"{os.path.basename(frame.filename)}:"
+                                        f"{frame.lineno} in {frame.name}"})
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +184,7 @@ def _random_vector(cfg: RunConfig, level: int, rng: random.Random,
 def _close(cfg: RunConfig, a, b) -> bool:
     if cfg.backend == EXACT:
         return a == b
-    return scalars.approx_equal(a, b, cfg.float_tol)
+    return scalars.approx_equal(a, b, FLOAT_TOL)
 
 
 def _equal(cfg: RunConfig, a, b) -> bool:
@@ -185,7 +192,7 @@ def _equal(cfg: RunConfig, a, b) -> bool:
     literal on the exact backend, coefficientwise within tolerance on floats."""
     if cfg.backend == EXACT:
         return a == b
-    return all(abs(complex(c)) <= cfg.float_tol for c in (a - b).terms.values())
+    return all(abs(complex(c)) <= FLOAT_TOL for c in (a - b).terms.values())
 
 
 # ------------------------------------------------------------------ fock
@@ -800,39 +807,53 @@ def _flip(x: IndexFunction) -> IndexFunction:
 
 # ------------------------------------------------------------------ simulate
 
-def _moment_targets() -> List[Tuple[gauss.GaussPoly, complex]]:
-    """Polynomials with their exact means, for the sampling checks."""
+def _moment_polys() -> List[gauss.GaussPoly]:
+    """The polynomials of the sampling checks."""
     z = gauss.GaussPoly.variable
     root = make_word("")
     w0, w1 = make_word("0"), make_word("1")
     w00, w01 = make_word("00"), make_word("01")
-    out = []
+    return [
+        z(root) * z(root).conj(),
+        z(w0) * z(w0).conj(),
+        z(root) * z(w0).conj(),
+        z(root) * z(w00).conj(),
+        z(w0) * z(w1).conj(),
+        (z(w0) * z(w0).conj()) * (z(w0) * z(w0).conj()),
+        (z(w0) * z(w0).conj()) * (z(w00) * z(w00).conj()),
+        (z(w0) * z(w0).conj()) * (z(w1) * z(w1).conj()),
+        z(w0) * z(w0) * (z(w0).conj() * z(w0).conj()),
+        (z(root) + z(w00)) * (z(root) + z(w00)).conj(),
+        (z(w0) + 2 * z(w01)) * (z(w0) + 2 * z(w01)).conj(),
+        z(w00) * z(w00).conj() * z(w00) * z(w00).conj() * z(w00) * z(w00).conj(),
+        (z(w0) * z(w1)) * (z(w0) * z(w1)).conj(),
+        (z(w0) * z(w1)) * (z(w0) * z(w1)).conj() * z(w00) * z(w00).conj(),
+        z(w0) * z(w0) * z(w00).conj() * z(w00).conj(),
+        z(w0) * z(w0) * z(w0) * z(w0).conj() * z(w0).conj() * z(w0).conj(),
+        (z(root) * z(w01).conj()) * (z(w01) * z(w01).conj()),
+        z(w01) * z(w01).conj() + 3 * z(w0) * z(w1).conj(),
+        (z(w0) - z(w1)) * (z(w0) - z(w1)).conj(),
+        z(w00) * z(w00) * z(w00).conj() * z(w00).conj() * z(w01) * z(w01).conj(),
+    ]
 
-    def tag(p: gauss.GaussPoly) -> None:
-        out.append((p, complex(scalars.to_complex(
-            gauss.moment(gauss.refine(p, max(2, p.max_word_length())))))))
 
-    tag(z(root) * z(root).conj())
-    tag(z(w0) * z(w0).conj())
-    tag(z(root) * z(w0).conj())
-    tag(z(root) * z(w00).conj())
-    tag(z(w0) * z(w1).conj())
-    tag((z(w0) * z(w0).conj()) * (z(w0) * z(w0).conj()))
-    tag((z(w0) * z(w0).conj()) * (z(w00) * z(w00).conj()))
-    tag((z(w0) * z(w0).conj()) * (z(w1) * z(w1).conj()))
-    tag(z(w0) * z(w0) * (z(w0).conj() * z(w0).conj()))
-    tag((z(root) + z(w00)) * (z(root) + z(w00)).conj())
-    tag((z(w0) + 2 * z(w01)) * (z(w0) + 2 * z(w01)).conj())
-    tag(z(w00) * z(w00).conj() * z(w00) * z(w00).conj() * z(w00) * z(w00).conj())
-    tag((z(w0) * z(w1)) * (z(w0) * z(w1)).conj())
-    tag((z(w0) * z(w1)) * (z(w0) * z(w1)).conj() * z(w00) * z(w00).conj())
-    tag(z(w0) * z(w0) * z(w00).conj() * z(w00).conj())
-    tag(z(w0) * z(w0) * z(w0) * z(w0).conj() * z(w0).conj() * z(w0).conj())
-    tag((z(root) * z(w01).conj()) * (z(w01) * z(w01).conj()))
-    tag(z(w01) * z(w01).conj() + 3 * z(w0) * z(w1).conj())
-    tag((z(w0) - z(w1)) * (z(w0) - z(w1)).conj())
-    tag(z(w00) * z(w00) * z(w00).conj() * z(w00).conj() * z(w01) * z(w01).conj())
-    return out
+def _moment_targets() -> List[Tuple[gauss.GaussPoly, complex]]:
+    """The sampling polynomials with their exact means."""
+    return [(p, complex(scalars.to_complex(
+        gauss.moment(gauss.refine(p, max(2, p.max_word_length()))))))
+        for p in _moment_polys()]
+
+
+def _tree_residuals(leaves: np.ndarray, depth: int) -> np.ndarray:
+    """Each sample's largest violation of f(s) = (f(s0) + f(s1))/sqrt2 over
+    the interior words, on the columns the estimator reads."""
+    words = [w for length in range(depth + 1) for w in all_words(length)]
+    cols = montecarlo._variable_columns(leaves, depth, words)
+    worst = np.zeros(len(leaves))
+    for w in words[:2 ** depth - 1]:  # the interior words
+        avg = (cols[w + (0,)] + cols[w + (1,)]) * 2.0 ** -0.5
+        np.maximum(worst, np.abs(cols[w] - avg), out=worst)
+    return worst
 
 
 def simulate_suites(cfg: RunConfig) -> List[SuiteReport]:
@@ -844,12 +865,12 @@ def simulate_suites(cfg: RunConfig) -> List[SuiteReport]:
                     "sampled trees satisfy the child-averaging relation to "
                     "rounding error, before and after a torus step") as r:
         g = _random_step(cfg, min(2, depth), rng)
-        for i, tree in enumerate(montecarlo.sample_trees(depth, 20, cfg.seed)):
-            ok = tree.residual() <= 1e-12
-            moved = montecarlo.act(g, tree)
-            ok = ok and moved.residual() <= 1e-12
-            r.case(ok, sample=i, residual=tree.residual(),
-                   moved_residual=moved.residual())
+        leaves = montecarlo.sample_trees(depth, 20, cfg.seed)
+        before = _tree_residuals(leaves, depth)
+        after = _tree_residuals(leaves * montecarlo._leaf_phases(g, depth), depth)
+        for i, (res, moved) in enumerate(zip(before.tolist(), after.tolist())):
+            r.case(res <= 1e-12 and moved <= 1e-12, sample=i, residual=res,
+                   moved_residual=moved)
 
     with checks.run("determinism",
                     "a seed fixes the sample stream bit for bit; batching "
@@ -885,7 +906,7 @@ def simulate_suites(cfg: RunConfig) -> List[SuiteReport]:
                     "composed polynomial on the same stream") as r:
         # eighth-root phases keep the composed polynomial's moment exact
         g = TorusStep.random_eighth_roots(2, rng)
-        for poly, exact in targets[:6]:
+        for poly in _moment_polys()[:6]:
             base = gauss.refine(poly, max(2, poly.max_word_length()))
             composed = gauss.koopman(g, base)
             direct = montecarlo.estimate(base, 20_000, depth, seed=cfg.seed, step=g)

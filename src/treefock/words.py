@@ -107,20 +107,6 @@ class Symbol:
         return word_text(self.word) + ("*" if self.barred else "")
 
 
-def _distinct_permutations(items: Tuple) -> Iterator[Tuple]:
-    """Distinct permutations of a sorted tuple, in lexicographic order."""
-    if not items:
-        yield ()
-        return
-    seen_first = None
-    for i, x in enumerate(items):
-        if x == seen_first:
-            continue
-        seen_first = x
-        for rest in _distinct_permutations(items[:i] + items[i + 1:]):
-            yield (x,) + rest
-
-
 @dataclass(frozen=True)
 class AdmissibleWord:
     """A nonempty multiset of same-length symbols, no word marked both ways.
@@ -205,8 +191,8 @@ class AdmissibleWord:
 
     def variants(self) -> List[Tuple[Tuple[Word, ...], Tuple[Word, ...]]]:
         """All distinct ordered arrangements (unmarked block, marked block)."""
-        lefts = list(_distinct_permutations(self.unmarked_words()))
-        rights = list(_distinct_permutations(self.marked_words()))
+        lefts = sorted(set(itertools.permutations(self.unmarked_words())))
+        rights = sorted(set(itertools.permutations(self.marked_words())))
         return [(a, b) for a in lefts for b in rights]
 
     def variant_count(self) -> int:

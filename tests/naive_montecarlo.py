@@ -1,17 +1,25 @@
-"""The per-monomial Monte Carlo evaluator, kept as a differential oracle.
+"""Per-sample Monte Carlo oracles: the pairwise tree, the pointwise
+evaluator and the per-monomial estimator.
+
+``tree_values`` fills one sample's tree upward from its leaves by the
+averaging identity f(s) = (f(s0) + f(s1))/sqrt2, word by word, and
+``evaluate`` computes a polynomial's value on it monomial by monomial.
+``treefock.montecarlo`` instead reads every variable off its leaf block in
+one vectorized sum; tests check that it agrees with these on every word and
+that an estimate averages ``evaluate`` over the first rows of the stream.
 
 Before the power tables in ``treefock.montecarlo``, ``estimate_many`` built
 every monomial afresh for every polynomial: a coefficient-filled array times
 ``z ** a * np.conj(z) ** b`` for each of its variables, in batches of 2**14
-samples.  The function below is that loop, unchanged apart from drawing each
-batch through the package's sample-major ``_draw_leaves``, so that both
+samples.  ``estimate_many`` below is that loop, unchanged apart from drawing
+each batch through the package's sample-major ``_draw_leaves``, so that both
 evaluators read the same stream.  Tests check the block evaluator against it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -19,9 +27,29 @@ from treefock.errors import CapExceeded
 from treefock.gauss import GaussPoly
 from treefock.montecarlo import (MAX_SAMPLE_DEPTH, Estimate, _draw_leaves, _generator,
                                  _leaf_phases, _variable_columns)
-from treefock.words import TorusStep
+from treefock.words import TorusStep, Word, all_words
 
 _BATCH = 1 << 14
+
+
+def tree_values(depth: int, leaves: Sequence[complex]) -> Dict[Word, complex]:
+    """Every word's value in one sample, filled upward from its leaves."""
+    values = {w: complex(z) for w, z in zip(all_words(depth), leaves)}
+    for length in range(depth - 1, -1, -1):
+        for w in all_words(length):
+            values[w] = (values[w + (0,)] + values[w + (1,)]) * 2.0 ** -0.5
+    return values
+
+
+def evaluate(poly: GaussPoly, values: Mapping[Word, complex]) -> complex:
+    """The polynomial's value at one point, monomial by monomial."""
+    out = 0j
+    for mono, c in poly.terms.items():
+        term = complex(c)
+        for w, a, b in mono.exps:
+            term *= values[w] ** a * values[w].conjugate() ** b
+        out += term
+    return out
 
 
 def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,

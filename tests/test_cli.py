@@ -1,6 +1,7 @@
 """CLI behavior: formats, determinism, exit codes, report schema."""
 
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -165,13 +166,21 @@ def test_exception_fails_only_its_own_check(monkeypatch, tmp_path, capsys):
     code, out, err = run_cli(["all", "--format", "json",
                               "--output", str(target), *FAST], capsys)
     assert code == cli.EXIT_FAILED
-    assert out == "" and err == ""
+    assert out == ""
     report = _load_valid(target)
-    fault = {"exception": "RuntimeError", "message": "demonstration fault"}
     failing = {(s["suite"], s["check"]): s["failures"]
                for s in report["suites"] if not s["passed"]}
+    # the entry names the innermost frame: the line that raised
+    where = failing[("beta", "pairing-oracle")][0]["where"]
+    assert re.fullmatch(r"test_cli\.py:\d+ in broken", where)
+    fault = {"exception": "RuntimeError", "message": "demonstration fault",
+             "where": where}
     assert failing == {("beta", "pairing-oracle"): [fault],
                        ("density", "disjoint-product"): [fault]}
+    # one stderr line per exception entry
+    assert err.splitlines() == [
+        f"treefock: {check}: RuntimeError: demonstration fault at {where}"
+        for check in ("beta/pairing-oracle", "density/disjoint-product")]
     # the commands after the faulty checks still ran
     assert {s["suite"] for s in report["suites"]} == {
         "fock", "alpha", "beta", "coherence", "density", "spectral", "simulate"}

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from treefock import gauss, montecarlo
+import naive_montecarlo as oracle
+from treefock import gauss, montecarlo, suites
 from treefock.errors import CapExceeded
 from treefock.gauss import GaussPoly
 from treefock.words import TorusStep, make_word
@@ -14,18 +15,23 @@ z = GaussPoly.variable
 
 
 def test_tree_sample_residual():
-    for tree in montecarlo.sample_trees(5, 10, seed=123):
-        assert tree.depth == 5
-        assert tree.residual() <= 1e-12
+    leaves = montecarlo.sample_trees(5, 10, seed=123)
+    assert leaves.shape == (10, 32)
+    assert (suites._tree_residuals(leaves, 5) <= 1e-12).all()
+    # row i is sample i however many are taken
+    assert (montecarlo.sample_trees(5, 3, seed=123) == leaves[:3]).all()
 
 
 def test_act_preserves_averaging():
     g = TorusStep.from_eighth_root_indices([1, 6])
-    tree = montecarlo.sample_tree(4, seed=5)
-    moved = montecarlo.act(g, tree)
-    assert moved.residual() <= 1e-12
+    leaves = montecarlo.sample_trees(4, 1, seed=5)
+    moved = leaves * montecarlo._leaf_phases(g, 4)
+    assert suites._tree_residuals(moved, 4)[0] <= 1e-12
     # the root variable picks up the averaged phases, not a single one
-    assert moved.values[()] != tree.values[()]
+    root = make_word("")
+    before = montecarlo._variable_columns(leaves, 4, [root])[root]
+    after = montecarlo._variable_columns(moved, 4, [root])[root]
+    assert after[0] != before[0]
 
 
 def test_seed_determinism():
@@ -105,10 +111,6 @@ def test_depth_validation():
         montecarlo.estimate(p, 0, depth=3, seed=0)
 
 
-def _tree_value(poly, tree):
-    return sum(complex(c) * m.evaluate(tree.values) for m, c in poly.terms.items())
-
-
 def test_estimate_averages_a_prefix_of_the_tree_stream():
     # sample i is the same tree in sample_trees and estimate_many, however
     # many samples are asked for and however they are blocked
@@ -117,7 +119,7 @@ def test_estimate_averages_a_prefix_of_the_tree_stream():
          + GaussPoly.constant(3))
     for n in (1, 2, 3, montecarlo._BLOCK + 1):
         trees = montecarlo.sample_trees(3, n, seed=19)
-        exact = sum(_tree_value(p, t) for t in trees) / n
+        exact = sum(oracle.evaluate(p, oracle.tree_values(3, t)) for t in trees) / n
         est = montecarlo.estimate(p, n, depth=3, seed=19)
         assert abs(est.mean - exact) <= 1e-12 * max(1.0, abs(exact)), n
 

@@ -1,11 +1,15 @@
-"""The block evaluator of Monte Carlo estimates against the per-monomial oracle.
+"""The Monte Carlo estimator's sampled tree and block evaluator against the
+per-sample oracles.
 
-Both read the same sample stream.  Random polynomials in at most four
-variables of depth <= 3, with exponents 0..3, constant terms and monomials
-shared between polynomials, are estimated by both over several blocks plus a
-remainder, with and without a torus step; means and standard errors must
-agree to rounding.  Reordering the polynomials must not change any estimate
-by a single bit.
+The variables ``_variable_columns`` reads off the leaf rows must match the
+tree filled pairwise from the same leaves, on every word of depths 0..6.
+
+Both evaluators read the same sample stream.  Random polynomials in at most
+four variables of depth <= 3, with exponents 0..3, constant terms and
+monomials shared between polynomials, are estimated by both over several
+blocks plus a remainder, with and without a torus step; means and standard
+errors must agree to rounding.  Reordering the polynomials must not change
+any estimate by a single bit.
 """
 
 import math
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 import naive_montecarlo as oracle
 from treefock import montecarlo, scalars
 from treefock.gauss import GaussMonomial, GaussPoly
-from treefock.words import TorusStep, make_word
+from treefock.words import TorusStep, all_words, make_word
 
 WORDS = [make_word(s) for s in ("", "0", "1", "01", "10", "000", "011", "110")]
 COEFFS = [k * scalars.eighth_root(r) for k in (1, -2, 3) for r in (0, 1, 2, 5)]
@@ -76,3 +80,16 @@ def test_block_evaluator_agrees_with_per_monomial_oracle(data):
     for k, i in enumerate(order):
         assert moved[k].mean == new[i].mean
         assert moved[k].std_error == new[i].std_error
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_variable_columns_agree_with_the_pairwise_tree(depth, count, seed):
+    leaves = montecarlo.sample_trees(depth, count, seed)
+    words = [w for length in range(depth + 1) for w in all_words(length)]
+    cols = montecarlo._variable_columns(leaves, depth, words)
+    for i, row in enumerate(leaves):
+        tree = oracle.tree_values(depth, row)
+        assert set(tree) == set(words)
+        for w in words:
+            assert abs(cols[w][i] - tree[w]) <= 1e-12, (w, i)

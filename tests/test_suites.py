@@ -2,7 +2,11 @@
 
 import pytest
 
+from treefock import montecarlo, suites
 from treefock.suites import COMMANDS, RunConfig, SuiteReport
+
+SMALL_SIMULATE = RunConfig(command="simulate", level_max=1, degree_max=2,
+                           samples=2000)
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -43,3 +47,32 @@ def test_config_validation():
         RunConfig(backend="decimal").validate()
     with pytest.raises(ValueError):
         RunConfig(fmt="yaml").validate()
+
+
+def test_tree_residual_reads_the_estimator_columns(monkeypatch):
+    # a slip of 1e-7 in the interior columns the estimates read must show
+    real = montecarlo._variable_columns
+
+    def skewed(leaves, depth, variables):
+        cols = real(leaves, depth, variables)
+        return {w: c * (1 + 1e-7) if len(w) < depth else c
+                for w, c in cols.items()}
+
+    monkeypatch.setattr(montecarlo, "_variable_columns", skewed)
+    reports = {r.check: r for r in suites.simulate_suites(SMALL_SIMULATE)}
+    residual = reports["tree-residual"]
+    assert residual.cases == 20 and not residual.passed
+    assert float(residual.failures[0]["residual"]) > 1e-9
+
+
+def test_composed_agreement_does_not_need_the_moment_targets(monkeypatch):
+    def broken():
+        raise RuntimeError("demonstration fault")
+
+    monkeypatch.setattr(suites, "_moment_targets", broken)
+    reports = {r.check: r for r in suites.simulate_suites(SMALL_SIMULATE)}
+    assert [c for c, r in reports.items() if not r.passed] == ["moment-agreement"]
+    assert reports["composed-agreement"].cases == 6
+    [fault] = reports["moment-agreement"].failures
+    assert fault["exception"] == "RuntimeError"
+    assert fault["where"].startswith("test_suites.py:")

@@ -79,6 +79,15 @@ def test_variants_example():
     assert set(w.variants()) == {(((0,), (1,)), ()), (((1,), (0,)), ())}
     v = AdmissibleWord.parse("0 0 1*")
     assert v.variants() == [(((0,), (0,)), ((1,),))]
+    # repeated words in both blocks: each block's distinct orders, in
+    # lexicographic order, the marked block varying fastest
+    a, b, c, d = (make_word(t) for t in ("00", "01", "10", "11"))
+    u = AdmissibleWord.parse("01 00 00 11* 10* 11*")
+    assert u.variants() == [
+        ((a, a, b), (c, d, d)), ((a, a, b), (d, c, d)), ((a, a, b), (d, d, c)),
+        ((a, b, a), (c, d, d)), ((a, b, a), (d, c, d)), ((a, b, a), (d, d, c)),
+        ((b, a, a), (c, d, d)), ((b, a, a), (d, c, d)), ((b, a, a), (d, d, c)),
+    ]
 
 
 # counts derived once from the closed form sum_j C(2^n, j) 2^j C(l-1, j-1)
