@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from . import scalars
 from .combination import Combination
 from .errors import CapExceeded
 from .scalars import EXACT, Scalar
-from .words import MAX_WORD_LENGTH, AdmissibleWord, TorusStep
+from .words import MAX_WORD_LENGTH, WORD_PART, AdmissibleWord, TorusStep
 
 # Degree bound enforced at construction; desk-scale checks stay below it.
 MAX_DEGREE = 5
@@ -57,7 +57,7 @@ class FockVector(Combination):
 
     def __repr__(self) -> str:
         body = " + ".join(f"({c})*{w}" for w, c in sorted(
-            self.terms.items(), key=lambda kv: tuple(s.sort_key() for s in kv[0].entries)))
+            self.terms.items(), key=lambda kv: kv[0].codes))
         return f"FockVector(level={self.level}, {body or '0'})"
 
 
@@ -87,22 +87,22 @@ def embed(v: FockVector) -> FockVector:
     if v.level + 1 > MAX_WORD_LENGTH:
         raise CapExceeded(f"embedding beyond level {MAX_WORD_LENGTH}")
     backend = v.backend()
-    out: Dict[AdmissibleWord, Scalar] = {}
+    out: Dict[Tuple[int, ...], Scalar] = {}
     for word, coeff in v.terms.items():
-        mults = word.symbol_multiplicities()
-        syms = list(mults)
+        mults = {c: word.codes.count(c) for c in word.codes}
         scale = coeff * scalars.inv_sqrt2_pow(word.degree, backend)
-        for split in itertools.product(*(range(m + 1) for m in (mults[s] for s in syms))):
+        for split in itertools.product(*(range(m + 1) for m in mults.values())):
             weight = 1
-            child_entries = []
-            for s, k in zip(syms, split):
-                m = mults[s]
+            child: Tuple[int, ...] = ()
+            for (c, m), k in zip(mults.items(), split):
                 weight *= math.comb(m, k)
-                child_entries.extend([s.append(0)] * k)
-                child_entries.extend([s.append(1)] * (m - k))
-            child = AdmissibleWord(tuple(child_entries))
+                # c's children c0 and c0 + 1 keep the parents' sorted order
+                c0 = c + (c & WORD_PART)
+                child += (c0,) * k + (c0 + 1,) * (m - k)
             out[child] = out.get(child, 0) + weight * scale
-    return FockVector(v.level + 1, out)
+    # children of an admissible word are admissible and keep its degree
+    return FockVector(v.level + 1, {})._like(
+        {AdmissibleWord._trusted(key): c for key, c in out.items()})
 
 
 def embed_by_enumeration(v: FockVector) -> FockVector:

@@ -252,11 +252,9 @@ def from_fock(v: FockVector) -> GaussPoly:
     variable, marked letters conjugated."""
     out: Dict[GaussMonomial, Scalar] = {}
     for word, coeff in v.terms.items():
-        exps: Dict[Word, Tuple[int, int]] = {}
-        for s, m in word.symbol_multiplicities().items():
-            a, b = exps.get(s.word, (0, 0))
-            exps[s.word] = (a, b + m) if s.barred else (a + m, b)
-        mono = GaussMonomial.of(exps)
+        # an admissible word uses each of its words either marked or not
+        mono = GaussMonomial.of({w: (k, 0) if k > 0 else (0, -k)
+                                 for w, k in word.charges()})
         out[mono] = out.get(mono, 0) + coeff
     return GaussPoly(out)
 

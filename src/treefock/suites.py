@@ -227,7 +227,7 @@ def fock_suites(cfg: RunConfig) -> List[SuiteReport]:
         for level in range(1, cfg.level_max + 1):
             for degree in range(1, cfg.degree_max + 1):
                 words = list(enumerate_admissible(level, degree))
-                keys = [tuple(s.sort_key() for s in w.entries) for w in words]
+                keys = [w.codes for w in words]
                 ok = (keys == sorted(keys) and len(set(keys)) == len(keys)
                       and all(w.level == level and w.degree == degree for w in words)
                       and all(sum(w.symbol_multiplicities().values()) == degree
@@ -260,9 +260,9 @@ def fock_suites(cfg: RunConfig) -> List[SuiteReport]:
             for w in basis:
                 expected = math.prod(math.factorial(m)
                                      for m in w.symbol_multiplicities().values())
-                b = fock.basic(w, cfg.backend)
-                r.case(_close(cfg, fock.norm2(b), expected), word=w,
-                       norm2=fock.norm2(b), expected=expected)
+                norm2 = fock.norm2(fock.basic(w, cfg.backend))
+                r.case(_close(cfg, norm2, expected), word=w, norm2=norm2,
+                       expected=expected)
             vecs = [fock.basic(w, cfg.backend) for w in basis]
             for i, j in _pairs(level, len(basis), 1500, rng):
                 val = fock.inner(vecs[i], vecs[j])
@@ -273,16 +273,14 @@ def fock_suites(cfg: RunConfig) -> List[SuiteReport]:
                     "sum has 2^l times the parent's squared norm") as r:
         for level in range(1, cfg.level_max + 1):
             for w in _basis(level, cfg.degree_max):
-                entries = w.entries
                 parent_norm = fock.norm2(fock.basic(w, cfg.backend))
                 total = fock.FockVector(level + 1, {})
                 ok = True
                 for bits in itertools.product((0, 1), repeat=w.degree):
-                    child = AdmissibleWord.of(s.append(b)
-                                              for s, b in zip(entries, bits))
-                    split: Dict[Tuple[Symbol, int], int] = {}
-                    for s, b in zip(entries, bits):
-                        split[(s, b)] = split.get((s, b), 0) + 1
+                    child = w.append_all(bits)
+                    split: Dict[Tuple[int, int], int] = {}
+                    for key in zip(w.codes, bits):
+                        split[key] = split.get(key, 0) + 1
                     expected = math.prod(math.factorial(k) for k in split.values())
                     ok = ok and fock.norm2(fock.basic(child, cfg.backend)) == expected
                     total = total + fock.basic(child, cfg.backend)
@@ -352,10 +350,11 @@ def step_suites(cfg: RunConfig) -> List[SuiteReport]:
                 denom = 2 ** (level * w.degree) * math.prod(
                     math.factorial(m) for m in w.symbol_multiplicities().values())
                 expected = Fraction(math.factorial(p) * math.factorial(q), denom)
+                measure = steps.support_measure(w)
                 ok = (len(cells) == len(set(cells)) == w.variant_count()
                       and all(c.degrees == (p, q) and c.depth == level for c in cells)
-                      and steps.support_measure(w) == expected)
-                r.case(ok, word=w, measure=steps.support_measure(w), expected=expected)
+                      and measure == expected)
+                r.case(ok, word=w, measure=measure, expected=expected)
 
     with checks.run("support-disjoint",
                     "words of one block shape have pairwise disjoint supports") as r:

@@ -5,7 +5,7 @@ then lexicographic.  A symbol is a word together with a conjugation mark, and
 an admissible word is a nonempty multiset of same-length symbols in which no
 word appears both marked and unmarked.  Admissible words index the basic
 product vectors of the Fock layer, and almost everything downstream is keyed
-by their canonical (sorted) form.
+by their canonical form, the sorted tuple of their integer symbol codes.
 
 A torus step assigns a unit scalar to each word of a fixed length: a step
 function into the circle, constant on the depth-n cells of Cantor space; it
@@ -14,10 +14,12 @@ acts on every basis key by ``TorusStep.character`` of the key's ``charges()``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import scalars
@@ -71,31 +73,60 @@ def all_words(length: int) -> List[Word]:
     return [tuple(bits) for bits in itertools.product((0, 1), repeat=length)]
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A word with an optional conjugation mark."""
+# A symbol code is the word's bits under a leading 1, plus MARK when
+# conjugated.  MARK sits above every word part, so int order is the canonical
+# order: unmarked first, then by length, then lexicographic.
+MARK = 1 << (MAX_WORD_LENGTH + 1)
+WORD_PART = MARK - 1
 
-    word: Word
-    barred: bool = False
+
+# A symbol code's word, mark ignored, and a word's unmarked code, validated.
+@lru_cache(maxsize=1 << 12)
+def _code_word(code: int) -> Word:
+    return tuple(map(int, bin(code & WORD_PART)[3:]))
+
+
+@lru_cache(maxsize=1 << 12)
+def _word_code(word: Word) -> int:
+    return int("".join(map(str, (1,) + make_word(word))), 2)
+
+
+class Symbol(int):
+    """A word with an optional conjugation mark, held as one int code that
+    compares, hashes and sorts in the order of ``sort_key``."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: Word, barred: bool = False) -> "Symbol":
+        code = _word_code(tuple(word))
+        return int.__new__(cls, code | MARK if barred else code)
+
+    @property
+    def word(self) -> Word:
+        return _code_word(self)
+
+    @property
+    def barred(self) -> bool:
+        return self >= MARK
 
     @property
     def level(self) -> int:
-        return len(self.word)
+        return (self & WORD_PART).bit_length() - 1
 
     def conj(self) -> "Symbol":
-        return Symbol(self.word, not self.barred)
+        return _symbol(self ^ MARK)
 
     def append(self, bit: int) -> "Symbol":
         # Appending commutes with the mark: the child of a marked symbol is
         # the marked child, so the underlying word grows either way.
         if bit not in (0, 1):
             raise ValueError("bit must be 0 or 1")
-        if len(self.word) + 1 > MAX_WORD_LENGTH:
+        if self.level + 1 > MAX_WORD_LENGTH:
             raise CapExceeded(f"word longer than {MAX_WORD_LENGTH}")
-        return Symbol(self.word + (bit,), self.barred)
+        return _symbol(self + (self & WORD_PART) + bit)
 
     def sort_key(self) -> Tuple[bool, int, Word]:
-        return (self.barred, len(self.word), self.word)
+        return (self.barred, self.level, self.word)
 
     @classmethod
     def parse(cls, text: str) -> "Symbol":
@@ -106,68 +137,78 @@ class Symbol:
     def __str__(self) -> str:
         return word_text(self.word) + ("*" if self.barred else "")
 
+    def __repr__(self) -> str:
+        return f"Symbol(word={self.word}, barred={self.barred})"
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return (Symbol, (self.word, self.barred))
+
+
+# The symbol of a valid code, unchecked.
+_symbol = partial(int.__new__, Symbol)
+
+
 class AdmissibleWord:
     """A nonempty multiset of same-length symbols, no word marked both ways.
 
-    Entries are stored sorted (unmarked before marked, then by word), so two
-    multisets are equal exactly when the dataclasses are.  The degree is the
-    number of entries counted with multiplicity; ``degrees`` splits it into
-    the unmarked count p and the marked count q.
+    ``codes`` holds the symbol codes sorted (unmarked before marked, then by
+    word), so two multisets are equal exactly when their code tuples are.
+    The degree is the number of entries counted with multiplicity;
+    ``degrees`` splits it into the unmarked count p and the marked count q.
     """
 
-    entries: Tuple[Symbol, ...]
+    __slots__ = ("codes", "level", "degree", "degrees", "_gram", "_hash")
 
-    def __post_init__(self) -> None:
-        entries = tuple(sorted(self.entries, key=Symbol.sort_key))
-        object.__setattr__(self, "entries", entries)
+    def __new__(cls, entries: Iterable[Symbol]) -> "AdmissibleWord":
+        entries = tuple(entries)
         if not entries:
             raise ValueError("admissible word must be nonempty")
-        level = entries[0].level
-        if any(s.level != level for s in entries):
+        if set(map(type, entries)) != {Symbol}:
+            raise TypeError("entries must be Symbols")
+        codes = tuple(sorted(map(int, entries)))
+        if len(set(map(int.bit_length, map(WORD_PART.__and__, codes)))) > 1:
             raise ValueError("all symbols must have the same length")
-        plain = {s.word for s in entries if not s.barred}
-        marked = {s.word for s in entries if s.barred}
-        clash = plain & marked
-        if clash:
+        # admissible: as many distinct words as distinct symbols
+        if len(set(codes)) != len(set(map(WORD_PART.__and__, codes))):
+            clash = min(c for c in codes if c ^ MARK in codes)
             raise ValueError(
-                f"word {word_text(sorted(clash)[0])} appears both marked and unmarked")
+                f"word {word_text(_code_word(clash))} appears both marked and unmarked")
+        return cls._trusted(codes)
+
+    @classmethod
+    def _trusted(cls, codes: Tuple[int, ...]) -> "AdmissibleWord":
+        """The word of sorted codes already known to be admissible, unchecked."""
+        out = object.__new__(cls)
+        p = bisect.bisect_left(codes, MARK)
+        put = object.__setattr__
+        put(out, "codes", codes)
+        put(out, "_hash", hash(codes))
+        put(out, "level", (codes[0] & WORD_PART).bit_length() - 1)
+        put(out, "degree", len(codes))
+        put(out, "degrees", (p, len(codes) - p))
+        distinct = set(codes)
+        put(out, "_gram", 1 if len(distinct) == len(codes) else
+            math.prod(map(math.factorial, map(codes.count, distinct))))
+        return out
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("admissible words are immutable")
 
     @classmethod
     def of(cls, symbols: Iterable[Symbol]) -> "AdmissibleWord":
-        return cls(tuple(symbols))
+        return cls(symbols)
 
     @classmethod
     def parse(cls, text: str) -> "AdmissibleWord":
         """Parse a space-separated symbol list such as ``"0 0 1*"``."""
-        return cls(tuple(Symbol.parse(tok) for tok in text.split()))
+        return cls(Symbol.parse(tok) for tok in text.split())
 
     @property
-    def level(self) -> int:
-        return self.entries[0].level
-
-    @property
-    def degree(self) -> int:
-        return len(self.entries)
+    def entries(self) -> Tuple[Symbol, ...]:
+        return tuple(map(_symbol, self.codes))
 
     def symbol_multiplicities(self) -> Dict[Symbol, int]:
-        out: Dict[Symbol, int] = {}
-        for s in self.entries:
-            out[s] = out.get(s, 0) + 1
-        return out
-
-    def multiplicities(self) -> Dict[Word, int]:
-        """m_s: how often each word occurs, marked or not."""
-        out: Dict[Word, int] = {}
-        for s in self.entries:
-            out[s.word] = out.get(s.word, 0) + 1
-        return out
-
-    @property
-    def degrees(self) -> Tuple[int, int]:
-        p = sum(1 for s in self.entries if not s.barred)
-        return (p, len(self.entries) - p)
+        return {_symbol(c): self.codes.count(c) for c in self.codes}
 
     def charges(self) -> List[Tuple[Word, int]]:
         """(word, m) for an unmarked word and (word, -m) for a marked one,
@@ -178,16 +219,13 @@ class AdmissibleWord:
     def gram_diagonal(self) -> int:
         """Product of the multiplicity factorials; the squared norm of the
         basic vector this word indexes."""
-        out = 1
-        for m in self.multiplicities().values():
-            out *= math.factorial(m)
-        return out
+        return self._gram
 
     def unmarked_words(self) -> Tuple[Word, ...]:
-        return tuple(s.word for s in self.entries if not s.barred)
+        return tuple(map(_code_word, self.codes[:self.degrees[0]]))
 
     def marked_words(self) -> Tuple[Word, ...]:
-        return tuple(s.word for s in self.entries if s.barred)
+        return tuple(map(_code_word, self.codes[self.degrees[0]:]))
 
     def variants(self) -> List[Tuple[Tuple[Word, ...], Tuple[Word, ...]]]:
         """All distinct ordered arrangements (unmarked block, marked block)."""
@@ -198,19 +236,27 @@ class AdmissibleWord:
     def variant_count(self) -> int:
         """p! q! / prod(m_s!), the number of distinct arrangements."""
         p, q = self.degrees
-        denom = 1
-        for m in self.multiplicities().values():
-            denom *= math.factorial(m)
-        return math.factorial(p) * math.factorial(q) // denom
+        return math.factorial(p) * math.factorial(q) // self._gram
 
     def append_all(self, bits: Sequence[int]) -> "AdmissibleWord":
         """Append one bit to each entry (entries taken in sorted order)."""
-        if len(bits) != len(self.entries):
+        if len(bits) != self.degree:
             raise ValueError("need one bit per entry")
-        return AdmissibleWord(tuple(s.append(b) for s, b in zip(self.entries, bits)))
+        return AdmissibleWord(s.append(b) for s, b in zip(self.entries, bits))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not AdmissibleWord:
+            return NotImplemented
+        return self.codes == other.codes
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return "[" + " ".join(str(s) for s in self.entries) + "]"
+
+    def __repr__(self) -> str:
+        return f"AdmissibleWord.parse({' '.join(str(s) for s in self.entries)!r})"
 
 
 def symbols_at(level: int) -> List[Symbol]:
@@ -229,17 +275,14 @@ def enumerate_admissible(level: int, degree: int,
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    syms = symbols_at(level)
-    candidates = math.comb(len(syms) + degree - 1, degree)
+    codes = [int(s) for s in symbols_at(level)]
+    candidates = math.comb(len(codes) + degree - 1, degree)
     if candidates > max_enumeration:
         raise CapExceeded(
             f"{candidates} candidate multisets exceed the cap {max_enumeration}")
-    for combo in itertools.combinations_with_replacement(syms, degree):
-        plain = {s.word for s in combo if not s.barred}
-        marked = {s.word for s in combo if s.barred}
-        if plain & marked:
-            continue
-        yield AdmissibleWord(combo)
+    for combo in itertools.combinations_with_replacement(codes, degree):
+        if len(set(combo)) == len(set(map(WORD_PART.__and__, combo))):
+            yield AdmissibleWord._trusted(combo)
 
 
 @dataclass(frozen=True)

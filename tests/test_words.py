@@ -37,6 +37,27 @@ def test_symbol_parse_and_order():
     assert [str(t) for t in level1] == ["0", "1", "0*", "1*"]
 
 
+def test_symbol_validation():
+    # a bit outside {0, 1} or a word above MAX_WORD_LENGTH would alias
+    # another symbol's code
+    with pytest.raises(ValueError):
+        Symbol((2,), False)
+    with pytest.raises(ValueError):
+        AdmissibleWord((Symbol((2,)), Symbol((0,))))
+    with pytest.raises(CapExceeded):
+        Symbol((0,) * 33)
+    with pytest.raises(CapExceeded):
+        Symbol((1,) * 32).append(0)
+    with pytest.raises(TypeError):
+        AdmissibleWord((2, 3))
+    plain, marked = Symbol((1, 0) * 16), Symbol((1, 0) * 16, True)
+    assert plain != marked and plain.conj() == marked
+    assert plain.level == marked.level == 32
+    for s in (plain, marked):
+        assert Symbol.parse(str(s)) == s
+    assert str(marked) == "10" * 16 + "*"
+
+
 @settings(max_examples=60, deadline=None)
 @given(bits, st.booleans(), st.integers(min_value=0, max_value=1))
 def test_symbol_append_commutes_with_conj(word, barred, bit):
