@@ -31,10 +31,13 @@ C = TypeVar("C", bound="Combination")
 class Combination:
     """Basis key -> nonzero coefficient, all keys in one frame."""
 
-    __slots__ = ("terms",)
+    # ``_backend`` starts as None and fills on the first ``backend()`` call;
+    # every constructor sets it, and terms never change after construction.
+    __slots__ = ("terms", "_backend")
 
     def __init__(self, terms: Mapping[Hashable, Scalar]) -> None:
         self.terms = {k: c for k, c in terms.items() if c != 0}
+        self._backend = None
 
     def _frame(self) -> tuple:
         """What every key shares; nothing unless a subclass says otherwise."""
@@ -56,7 +59,9 @@ class Combination:
         return not self.terms
 
     def backend(self) -> str:
-        return scalars.backend_of_values(self.terms.values())
+        if self._backend is None:
+            self._backend = scalars.backend_of_values(self.terms.values())
+        return self._backend
 
     def _check_backend(self, other: "Combination") -> None:
         if self.terms and other.terms and self.backend() != other.backend():

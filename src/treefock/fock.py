@@ -51,6 +51,7 @@ class FockVector(Combination):
             cleaned[w] = c
         self.level = level
         self.terms = cleaned
+        self._backend = None
 
     def _frame(self) -> tuple:
         return (self.level,)

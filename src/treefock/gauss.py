@@ -9,10 +9,21 @@ diagonal rule
     E[ z^a conj(z)^b ] = a! if a == b else 0,   independently per variable,
 
 and ``moment_by_pairings`` recomputes monomial moments by brute-force Wick
-matching as an independent oracle.  A Fock vector realizes as the product of
-its letters' variables (marked letters conjugated); a torus step acts by
-composition, multiplying each variable by the step's value on its cell, so
-a monomial picks up the step's character of its charges (w, a - b).
+matching as an independent oracle.
+
+The inner product <p, q> = E[p * conj(q)] is taken without building the
+product polynomial, by charge matching.  The monomial m1 * conj(m2) has
+exponents (a1 + b2, b1 + a2) on each variable, so its moment is nonzero
+exactly when a1 - b1 == a2 - b2 for every word: when m1 and m2 carry the
+same charge vector (w, a - b), words of charge zero left out.  ``inner``
+groups q's monomials by that vector and pairs each monomial of p only
+within its group; a matched pair contributes c1 * conj(c2) times the
+product over words of (a1 + b2)!, and every other pair contributes 0.
+
+A Fock vector realizes as the product of its letters' variables (marked
+letters conjugated); a torus step acts by composition, multiplying each
+variable by the step's value on its cell, so a monomial picks up the step's
+character of its charges (w, a - b).
 
 ``expansion_remainder`` and the rate/expansion reports quantify how fast the
 diagonal part of a power's depth-l expansion decays: the mean-centered
@@ -237,10 +248,36 @@ def moment(p: GaussPoly) -> Scalar:
 
 
 def inner(p: GaussPoly, q: GaussPoly) -> Scalar:
-    """<p, q> = E[p * conj(q)], refining both to a common level first."""
+    """<p, q> = E[p * conj(q)], refining both to a common level first.
+
+    Pairs monomials by charge matching instead of building the product
+    polynomial; see the module docstring.
+    """
     p._check_backend(q)
     level = max(p.max_word_length(), q.max_word_length())
-    return moment(refine(p, level) * refine(q, level).conj())
+    p, q = refine(p, level), refine(q, level)
+    # q's monomials by charge: (b per word, prod b!, conj(coefficient))
+    groups: Dict[Tuple[Tuple[Word, int], ...],
+                 List[Tuple[Dict[Word, int], int, Scalar]]] = {}
+    for mono, c in q.terms.items():
+        groups.setdefault(_charge_key(mono), []).append(
+            ({w: b for w, _, b in mono.exps},
+             math.prod(math.factorial(b) for _, _, b in mono.exps),
+             scalars.conj(c)))
+    acc: Scalar = 0
+    for mono, c in p.terms.items():
+        for bs, factor, d in groups.get(_charge_key(mono), ()):
+            # (a1 + b2)! per word: b2! is already in factor, so multiply in
+            # (a1 + b2)! / b2! for each of p's words
+            for w, a, _ in mono.exps:
+                factor *= math.perm(a + bs.get(w, 0), a)
+            acc = acc + c * d * factor
+    return acc
+
+
+def _charge_key(mono: GaussMonomial) -> Tuple[Tuple[Word, int], ...]:
+    """The nonzero charges (w, a - b) of a monomial, in its word order."""
+    return tuple((w, a - b) for w, a, b in mono.exps if a != b)
 
 
 def norm2(p: GaussPoly) -> Scalar:

@@ -43,6 +43,17 @@ class GridCell:
             if len(w) != self.depth:
                 raise ValueError("cell coordinate at the wrong depth")
 
+    @classmethod
+    def _trusted(cls, depth: int, left: Tuple[Word, ...],
+                 right: Tuple[Word, ...]) -> "GridCell":
+        """The cell of coordinates already known to sit at ``depth``, unchecked."""
+        out = object.__new__(cls)
+        put = object.__setattr__
+        put(out, "depth", depth)
+        put(out, "left", left)
+        put(out, "right", right)
+        return out
+
     @property
     def degrees(self) -> Tuple[int, int]:
         return (len(self.left), len(self.right))
@@ -61,15 +72,10 @@ class GridCell:
             raise CapExceeded(f"cell depth above {MAX_WORD_LENGTH}")
         p, q = self.degrees
         for bits in itertools.product((0, 1), repeat=p + q):
-            yield GridCell(self.depth + 1,
-                           tuple(w + (b,) for w, b in zip(self.left, bits[:p])),
-                           tuple(w + (b,) for w, b in zip(self.right, bits[p:])))
-
-    def block_permuted(self, left_perm: Tuple[int, ...],
-                       right_perm: Tuple[int, ...]) -> "GridCell":
-        return GridCell(self.depth,
-                        tuple(self.left[i] for i in left_perm),
-                        tuple(self.right[i] for i in right_perm))
+            yield GridCell._trusted(
+                self.depth + 1,
+                tuple(w + (b,) for w, b in zip(self.left, bits[:p])),
+                tuple(w + (b,) for w, b in zip(self.right, bits[p:])))
 
 
 class StepFunction(Combination):
@@ -92,6 +98,7 @@ class StepFunction(Combination):
         self.degrees = degrees
         self.depth = depth
         self.terms = cleaned
+        self._backend = None
 
     def _frame(self) -> tuple:
         return (self.degrees, self.depth)
@@ -128,18 +135,32 @@ class StepFunction(Combination):
         return self.acted(g)
 
     def is_block_symmetric(self) -> bool:
-        """Invariance of the values under permuting each block separately."""
-        p, q = self.degrees
+        """Invariance of the values under permuting each block separately.
+
+        Block permutations move a cell only within its canonical form, both
+        blocks sorted, and reach every arrangement of that form.  So the
+        function is invariant exactly when, grouping its cells by canonical
+        form, each group holds one value and all (p!/prod m!)(q!/prod m!)
+        distinct arrangements of its form, m running over the multiplicities
+        of the words in each block.
+        """
+        groups: Dict[Tuple[Tuple[Word, ...], Tuple[Word, ...]], List[Scalar]] = {}
         for cell, v in self.terms.items():
-            for lp in itertools.permutations(range(p)):
-                for rp in itertools.permutations(range(q)):
-                    if self.terms.get(cell.block_permuted(lp, rp)) != v:
-                        return False
-        return True
+            groups.setdefault((tuple(sorted(cell.left)), tuple(sorted(cell.right))),
+                              []).append(v)
+        return all(len(vals) == _arrangements(left) * _arrangements(right)
+                   and all(v == vals[0] for v in vals)
+                   for (left, right), vals in groups.items())
 
     def __repr__(self) -> str:
         return (f"StepFunction(degrees={self.degrees}, depth={self.depth}, "
                 f"cells={len(self.terms)})")
+
+
+def _arrangements(block: Tuple[Word, ...]) -> int:
+    """n! / prod m!, the number of distinct orderings of a block."""
+    return math.factorial(len(block)) // math.prod(
+        map(math.factorial, map(block.count, set(block))))
 
 
 class StepSum:
@@ -233,7 +254,8 @@ class StepSum:
 
 def support_cells(word: AdmissibleWord) -> List[GridCell]:
     """The distinct cells covering the word's support, one per arrangement."""
-    return [GridCell(word.level, left, right) for left, right in word.variants()]
+    return [GridCell._trusted(word.level, left, right)
+            for left, right in word.variants()]
 
 
 def support_measure(word: AdmissibleWord) -> Fraction:

@@ -130,9 +130,11 @@ class Symbol(int):
 
     @classmethod
     def parse(cls, text: str) -> "Symbol":
-        """Parse ``"011"`` or ``"011*"`` (trailing star marks conjugation)."""
+        """Parse ``"011"`` or ``"011*"`` (trailing star marks conjugation);
+        ``"e"`` and ``"e*"`` are the empty word, as ``str`` prints it."""
         barred = text.endswith("*")
-        return cls(make_word(text[:-1] if barred else text), barred)
+        body = text[:-1] if barred else text
+        return cls(() if body == "e" else make_word(body), barred)
 
     def __str__(self) -> str:
         return word_text(self.word) + ("*" if self.barred else "")

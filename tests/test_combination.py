@@ -119,3 +119,32 @@ def test_adding_across_frames_raises():
     with pytest.raises(ValueError):
         f.inner(f.refine())
     assert f + f == 2 * f
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_backend_cache_follows_each_result(kind):
+    u, uf = exact_and_float(kind)
+    g = TorusStep.from_eighth_root_indices([1, 2])
+    gf = TorusStep.from_angles([0.5, 2.0])
+    for x, want in ((u, scalars.EXACT), (uf, scalars.FLOAT)):
+        assert x.backend() == want  # fills the cache
+        assert x.scaled(2).backend() == want
+        assert (-x).backend() == want
+        assert (x + x).backend() == want
+        assert x.acted(g if want == scalars.EXACT else gf).backend() == want
+    # a result built in the same frame computes its own backend
+    assert u._like(uf.terms).backend() == scalars.FLOAT
+    assert uf._like(u.terms).backend() == scalars.EXACT
+    assert u._like({}).backend() == scalars.EXACT
+    # mixing still raises once both caches are full
+    inner = {"fock": fock.inner, "step": StepFunction.inner, "gauss": gauss.inner}[kind]
+    with pytest.raises(TypeError):
+        inner(u, uf)
+    with pytest.raises(TypeError):
+        inner(uf, u)
+    with pytest.raises(TypeError, match="float scalar times an exact"):
+        0.5 * u
+    with pytest.raises(TypeError, match="step cannot act"):
+        u.acted(gf)
+    with pytest.raises(TypeError, match="step cannot act"):
+        uf.acted(g)

@@ -21,7 +21,7 @@ from treefock.words import AdmissibleWord, Symbol, all_words, enumerate_admissib
 
 
 @st.composite
-def entry_lists(draw, levels=st.integers(1, 4)):
+def entry_lists(draw, levels=st.integers(0, 4)):
     """(word, barred) entries of one admissible word of degree 1..5."""
     words = all_words(draw(levels))
     entries = draw(st.lists(st.sampled_from(words), min_size=1, max_size=5))
