@@ -2,9 +2,13 @@
 
 The coordinate family assigns an independent standard complex Gaussian to
 each word of a fixed length; a word's variable is the normalized sum of the
-variables on its depth-K descendants (``refine`` rewrites a polynomial in
-terms of any deeper level).  Moments of same-level polynomials follow the
-diagonal rule
+variables on its depth-K descendants.  ``refine`` rewrites a polynomial at
+a deeper level by that substitution alone: each factor z_w^a conj(z_w)^b of
+a monomial becomes z^a conj(z)^b, z = 2^(-K/2) * (sum of z_{w+t} over the
+words t of length K) for the gap K, multiplied in one factor at a time.
+Each product and sum is held to ``DEFAULT_MAX_TERMS`` monomials, a module
+constant read at call time, and CapExceeded is raised above it.  Moments of
+same-level polynomials follow the diagonal rule
 
     E[ z^a conj(z)^b ] = a! if a == b else 0,   independently per variable,
 
@@ -175,53 +179,38 @@ class GaussPoly(Combination):
         return f"GaussPoly({body or '0'})"
 
 
-def _pow(p: GaussPoly, n: int, max_terms: int) -> GaussPoly:
-    out = GaussPoly.constant(1)
-    for _ in range(n):
-        out = out * p
-        if len(out.terms) > max_terms:
-            raise CapExceeded(f"expansion above {max_terms} monomials")
-    return out
+def _capped(p: GaussPoly) -> GaussPoly:
+    """``p`` itself, or CapExceeded when it has over DEFAULT_MAX_TERMS monomials."""
+    if len(p.terms) > DEFAULT_MAX_TERMS:
+        raise CapExceeded(f"expansion above {DEFAULT_MAX_TERMS} monomials")
+    return p
 
 
-def refine(p: GaussPoly, level: int, max_terms: int = DEFAULT_MAX_TERMS) -> GaussPoly:
-    """Rewrite ``p`` using only level-``level`` variables.
-
-    Each variable z_w with len(w) < level becomes the normalized sum of the
-    variables on its depth-``level`` descendants; the polynomial identity
-    behind ``embed`` on the Fock side.
+def refine(p: GaussPoly, level: int) -> GaussPoly:
+    """Rewrite ``p`` using only level-``level`` variables, by the module
+    docstring's substitution (z is z_w itself when len(w) == level); the
+    polynomial identity behind ``embed`` on the Fock side.
     """
     if level > MAX_WORD_LENGTH:
         raise CapExceeded(f"refinement beyond depth {MAX_WORD_LENGTH}")
-    if p.max_word_length() > level:
+    lengths = {len(w) for m in p.terms for w in m.words()}
+    if max(lengths, default=0) > level:
         raise ValueError("polynomial already uses variables deeper than the target")
-    if all(len(w) == level for m in p.terms for w in m.words()):
+    if lengths <= {level}:
         return p
     backend = p.backend()
     out = GaussPoly.zero()
-    subst_cache: Dict[Word, GaussPoly] = {}
     for mono, coeff in p.terms.items():
         acc = GaussPoly.constant(coeff)
         for w, a, b in mono.exps:
             gap = level - len(w)
-            if gap == 0:
-                acc = acc * GaussPoly({GaussMonomial.of({w: (a, b)}): 1})
-            else:
-                subst = subst_cache.get(w)
-                if subst is None:
-                    scale = scalars.inv_sqrt2_pow(gap, backend)
-                    subst = GaussPoly({GaussMonomial.of({w + t: (1, 0)}): scale
-                                       for t in all_words(gap)})
-                    subst_cache[w] = subst
-                if a:
-                    acc = acc * _pow(subst, a, max_terms)
-                if b:
-                    acc = acc * _pow(subst.conj(), b, max_terms)
-            if len(acc.terms) > max_terms:
-                raise CapExceeded(f"expansion above {max_terms} monomials")
-        out = out + acc
-        if len(out.terms) > max_terms:
-            raise CapExceeded(f"expansion above {max_terms} monomials")
+            scale = scalars.inv_sqrt2_pow(gap, backend) if gap else 1
+            z = GaussPoly({GaussMonomial.of({w + t: (1, 0)}): scale
+                           for t in all_words(gap)})
+            bar = z.conj() if b else z  # conjugated only when used
+            for factor in [z] * a + [bar] * b:
+                acc = _capped(acc * factor)
+        out = _capped(out + acc)
     return out
 
 

@@ -133,32 +133,14 @@ class ExactComplex:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "ExactComplex":
-        n1 = self.den
-        if isinstance(other, ExactComplex):
-            n2 = other.den
-            if n1 == n2:
-                return _reduced(self.a - other.a, self.b - other.b,
-                                self.c - other.c, self.d - other.d, n1)
-            return _reduced(self.a * n2 - other.a * n1, self.b * n2 - other.b * n1,
-                            self.c * n2 - other.c * n1, self.d * n2 - other.d * n1,
-                            n1 * n2)
-        if isinstance(other, int):
-            return _make(self.a - other * n1, self.b, self.c, self.d, n1)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _reduced(self.a * q - p * n1, self.b * q, self.c * q, self.d * q,
-                            n1 * q)
-        return NotImplemented
+        if not isinstance(other, (ExactComplex, int, Fraction)):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other: object) -> "ExactComplex":
-        n1 = self.den
-        if isinstance(other, int):
-            return _make(other * n1 - self.a, -self.b, -self.c, -self.d, n1)
-        if isinstance(other, Fraction):
-            p, q = other.numerator, other.denominator
-            return _reduced(p * n1 - self.a * q, -self.b * q, -self.c * q, -self.d * q,
-                            n1 * q)
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
 
     def __neg__(self) -> "ExactComplex":
         return _make(-self.a, -self.b, -self.c, -self.d, self.den)

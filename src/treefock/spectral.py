@@ -150,13 +150,13 @@ def good_permutations(x: IndexFunction,
     return [sum(combo, ()) for combo in itertools.product(*blocks)]
 
 
-def _grid_shape(index: IndexFunction, depth: int, max_cells: int) -> Tuple[int, ...]:
+def _grid_shape(index: IndexFunction, depth: int) -> Tuple[int, ...]:
     """One axis of 2**depth words per slot; raises before a grid over the cap."""
     if depth < 0 or depth > MAX_WORD_LENGTH:
         raise ValueError("depth out of range")
     cells = (2 ** depth) ** index.total()
-    if cells > max_cells:
-        raise CapExceeded(f"{cells} cells exceed the cap {max_cells}")
+    if cells > DEFAULT_MAX_TENSOR_OPS:
+        raise CapExceeded(f"{cells} cells exceed the cap {DEFAULT_MAX_TENSOR_OPS}")
     return (2 ** depth,) * index.total()
 
 
@@ -176,16 +176,15 @@ class DepthMeasure:
     ``gcd(counts, den) == 1``), so equal measures have equal arrays.
 
     Limits, each raising ``CapExceeded`` before any array is allocated: a
-    measure has at most ``DEFAULT_MAX_TENSOR_OPS`` cells (or the cap its
-    builder is given), and its counts sum to at most the int64 maximum, so
-    no sum over cells can overflow.
+    measure has at most ``DEFAULT_MAX_TENSOR_OPS`` cells, and its counts sum
+    to at most the int64 maximum, so no sum over cells can overflow.
     """
 
     __slots__ = ("index", "depth", "counts", "den")
 
     def __init__(self, index: IndexFunction, depth: int,
                  weights: Mapping[Assignment, Fraction]) -> None:
-        shape = _grid_shape(index, depth, DEFAULT_MAX_TENSOR_OPS)
+        shape = _grid_shape(index, depth)
         cells: Dict[Tuple[int, ...], Fraction] = {}
         for key, wt in weights.items():
             if len(key) != len(shape):
@@ -221,13 +220,12 @@ class DepthMeasure:
     @classmethod
     def uniform(cls, index: IndexFunction, depth: int) -> "DepthMeasure":
         """The full product measure at the given depth, total mass one."""
-        shape = _grid_shape(index, depth, DEFAULT_MAX_TENSOR_OPS)
+        shape = _grid_shape(index, depth)
         return cls._of(index, depth, np.ones(shape, dtype=np.int64), math.prod(shape))
 
     @classmethod
-    def zero(cls, index: IndexFunction, depth: int,
-             max_cells: int = DEFAULT_MAX_TENSOR_OPS) -> "DepthMeasure":
-        shape = _grid_shape(index, depth, max_cells)
+    def zero(cls, index: IndexFunction, depth: int) -> "DepthMeasure":
+        shape = _grid_shape(index, depth)
         return cls._of(index, depth, np.zeros(shape, dtype=np.int64), 1)
 
     @property
@@ -298,8 +296,7 @@ class DepthMeasure:
         return self._of(self.index.scaled(m), self.depth, self.counts.transpose(order),
                         self.den)
 
-    def tensor(self, other: "DepthMeasure",
-               max_ops: int = DEFAULT_MAX_TENSOR_OPS) -> "DepthMeasure":
+    def tensor(self, other: "DepthMeasure") -> "DepthMeasure":
         """Sum over slot pairings of the pushed-forward product measure.
 
         A pairing distributes, per level k, the x-slots and y-slots of that
@@ -313,16 +310,17 @@ class DepthMeasure:
         pairings = pairing_count(self.index, other.index)
         ops = (pairings * max(1, np.count_nonzero(self.counts))
                * max(1, np.count_nonzero(other.counts)))
-        if ops > max_ops:
-            raise CapExceeded(f"tensor product size {ops} exceeds the cap {max_ops}")
-        shape = _grid_shape(target, self.depth, max_ops)
+        if ops > DEFAULT_MAX_TENSOR_OPS:
+            raise CapExceeded(f"tensor product size {ops} exceeds the cap "
+                              f"{DEFAULT_MAX_TENSOR_OPS}")
+        shape = _grid_shape(target, self.depth)
         _check_int64(pairings * int(self.counts.sum()) * int(other.counts.sum()))
         keys = list(self.index.slots()) + [(k, self.index.get(k) + i)
                                            for k, i in other.index.slots()]
         layout = np.multiply.outer(self.counts, other.counts).transpose(
             sorted(range(len(keys)), key=keys.__getitem__))
         out = np.zeros(shape, dtype=np.int64)
-        for perm in good_permutations(target, max_ops):
+        for perm in good_permutations(target, DEFAULT_MAX_TENSOR_OPS):
             out += layout.transpose(perm)
         return self._of(target, self.depth, out, self.den * other.den)
 

@@ -125,7 +125,7 @@ class StepFunction(Combination):
         for cell, v in self.terms.items():
             for child in cell.children():
                 out[child] = v
-        return StepFunction(self.degrees, self.depth + 1, out)
+        return StepFunction(self.degrees, self.depth + 1, {})._like(out)
 
     def act(self, g: TorusStep) -> "StepFunction":
         """Multiply each cell by the step's character: values on the left
@@ -281,5 +281,5 @@ def from_fock(v: FockVector) -> StepSum:
         bucket = buckets.setdefault(word.degrees, {})
         for cell in support_cells(word):
             bucket[cell] = bucket.get(cell, 0) + val
-    return StepSum({key: StepFunction(key, n, values)
+    return StepSum({key: StepFunction(key, n, {})._like(values)
                     for key, values in buckets.items()})

@@ -267,21 +267,20 @@ def symbols_at(level: int) -> List[Symbol]:
     return [Symbol(w, False) for w in words] + [Symbol(w, True) for w in words]
 
 
-def enumerate_admissible(level: int, degree: int,
-                         max_enumeration: int = MAX_ENUMERATION) -> Iterator[AdmissibleWord]:
+def enumerate_admissible(level: int, degree: int) -> Iterator[AdmissibleWord]:
     """Every admissible word of the given level and degree, canonically ordered.
 
     The stream follows the lexicographic order of sorted symbol multisets.
     Raises CapExceeded up front if the number of candidate multisets is above
-    ``max_enumeration``.
+    ``MAX_ENUMERATION``.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     codes = [int(s) for s in symbols_at(level)]
     candidates = math.comb(len(codes) + degree - 1, degree)
-    if candidates > max_enumeration:
+    if candidates > MAX_ENUMERATION:
         raise CapExceeded(
-            f"{candidates} candidate multisets exceed the cap {max_enumeration}")
+            f"{candidates} candidate multisets exceed the cap {MAX_ENUMERATION}")
     for combo in itertools.combinations_with_replacement(codes, degree):
         if len(set(combo)) == len(set(map(WORD_PART.__and__, combo))):
             yield AdmissibleWord._trusted(combo)

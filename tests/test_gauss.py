@@ -179,8 +179,9 @@ def test_poly_algebra_and_eq():
         complex(1, 1) + 1j * complex(1, -1))
 
 
-def test_refine_cap():
+def test_refine_cap(monkeypatch):
     p = z(make_word("0"))
     big = p * p * p * p
+    monkeypatch.setattr(gauss, "DEFAULT_MAX_TERMS", 10)
     with pytest.raises(CapExceeded):
-        gauss.refine(big, 6, max_terms=10)
+        gauss.refine(big, 6)

@@ -166,7 +166,8 @@ def test_real_subfield_keeps_its_type(a, b, r, p):
     pairs = [(x + r, ox + r), (r + x, r + ox), (x - r, ox - r), (r - x, r - ox),
              (x * r, ox * r), (r * x, r * ox), (x * x, ox * ox), (x + x, ox + ox),
              (-x, -ox), (x ** 3, ox ** 3), (x * y, ox * oy), (y * x, oy * ox),
-             (x + y, ox + oy), (y - x, oy - ox)]
+             (x + y, ox + oy), (y - x, oy - ox), (x - y, ox - oy),
+             (x - QSqrt2(b, a), ox - oracle.QSqrt2(b, a))]
     if ox:
         pairs += [(x.inverse(), ox.inverse()), (r / x, r / ox), (x ** -2, ox ** -2)]
     for new, old in pairs:

@@ -128,6 +128,13 @@ def test_exact_float_mixing_rejected():
         ExactComplex(1) * (0.5 + 0j)
     with pytest.raises(TypeError):
         0.5 * QSqrt2(0, 1)
+    for x in (QSqrt2(1, 1), ExactComplex(1, 1)):
+        with pytest.raises(TypeError):
+            x - 0.5
+        with pytest.raises(TypeError):
+            0.5 - x
+        with pytest.raises(TypeError):
+            x - 0.5j
 
 
 def test_backend_helpers():

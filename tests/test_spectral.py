@@ -156,14 +156,15 @@ def test_compatibility_report():
     assert not spectral.compatibility_report([lopsided]).passed
 
 
-def test_tensor_cap():
+def test_tensor_cap(monkeypatch):
     x = IndexFunction.of({1: 3})
     mu = DepthMeasure.uniform(x, 2)
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 100)
     with pytest.raises(CapExceeded):
-        mu.tensor(mu, max_ops=100)
+        mu.tensor(mu)
 
 
-def test_every_measure_respects_the_cell_cap():
+def test_every_measure_respects_the_cell_cap(monkeypatch):
     # 5 slots at depth 10 is 2**50 cells: refused before any allocation,
     # for the zero measure as for the uniform one
     with pytest.raises(CapExceeded):
@@ -173,24 +174,29 @@ def test_every_measure_respects_the_cell_cap():
     with pytest.raises(CapExceeded):
         DepthMeasure(IndexFunction.of({1: 21}), 1, {})
     x = IndexFunction.of({2: 2})
-    assert DepthMeasure.zero(x, 2, max_cells=16).is_zero
-    with pytest.raises(CapExceeded):
-        DepthMeasure.zero(x, 2, max_cells=15)
-    # a tensor of zero factors stays under the same cap as its result grid
     z = DepthMeasure.zero(IndexFunction.of({2: 1}), 2)
-    assert z.tensor(z, max_ops=16).is_zero
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 16)
+    assert DepthMeasure.zero(x, 2).is_zero
+    # a tensor of zero factors stays under the same cap as its result grid
+    assert z.tensor(z).is_zero
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 15)
     with pytest.raises(CapExceeded):
-        z.tensor(z, max_ops=15)
+        DepthMeasure.zero(x, 2)
+    with pytest.raises(CapExceeded):
+        z.tensor(z)
 
 
-def test_tensor_ops_cap_counts_nonzero_cells():
+def test_tensor_ops_cap_counts_nonzero_cells(monkeypatch):
     x = index_pq(1, 0)
     mu = DepthMeasure.uniform(x, 1)
-    assert mu.tensor(mu, max_ops=8).mass() == 2  # 2 pairings x 2 x 2 cells
-    with pytest.raises(CapExceeded):
-        mu.tensor(mu, max_ops=7)
     point = DepthMeasure(x, 1, {(make_word("1"),): Fraction(1)})
-    assert point.tensor(mu, max_ops=4).mass() == 2  # 2 x 1 x 2
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 8)
+    assert mu.tensor(mu).mass() == 2  # 2 pairings x 2 x 2 cells
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 7)
+    with pytest.raises(CapExceeded):
+        mu.tensor(mu)
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 4)
+    assert point.tensor(mu).mass() == 2  # 2 x 1 x 2
 
 
 def test_counts_stay_within_int64():

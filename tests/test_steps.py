@@ -58,6 +58,17 @@ def test_inner_applies_mass_and_shape_constant():
     assert g.inner(f) == scalars.conj(f.inner(g))
 
 
+def test_constructor_validates_cells():
+    # from_fock and refine build from cells valid by construction and skip
+    # this check; the public constructor keeps it
+    cell = GridCell(1, ((0,), (1,)), ((0,),))
+    assert StepFunction((2, 1), 1, {cell: 1}).terms == {cell: 1}
+    with pytest.raises(ValueError, match="wrong depth"):
+        StepFunction((2, 1), 2, {cell: 1})
+    with pytest.raises(ValueError, match="wrong block shape"):
+        StepFunction((1, 2), 1, {cell: 1})
+
+
 def test_norm_transport_level1():
     for degree in range(1, 5):
         for w in enumerate_admissible(1, degree):

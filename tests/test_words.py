@@ -137,9 +137,10 @@ def test_enumeration_is_sorted_and_admissible():
         assert not unmarked & marked
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr("treefock.words.MAX_ENUMERATION", 10)
     with pytest.raises(CapExceeded):
-        list(enumerate_admissible(4, 5, max_enumeration=10))
+        list(enumerate_admissible(4, 5))
 
 
 def test_append_all():
