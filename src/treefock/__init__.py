@@ -12,7 +12,7 @@ from . import combination, fock, gauss, montecarlo, scalars, spectral, steps, su
 from .errors import CapExceeded
 from .scalars import EXACT, FLOAT, ExactComplex, QSqrt2
 from .spectral import DepthMeasure, IndexFunction, index_pq
-from .steps import GridCell, StepFunction, StepSum
+from .steps import GridCell, StepSum
 from .suites import RunConfig, SuiteReport
 from .words import AdmissibleWord, Symbol, TorusStep, enumerate_admissible
 
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibleWord", "CapExceeded", "DepthMeasure", "EXACT", "ExactComplex",
     "FLOAT", "GridCell", "IndexFunction", "QSqrt2", "RunConfig",
-    "StepFunction", "StepSum", "SuiteReport", "Symbol", "TorusStep",
+    "StepSum", "SuiteReport", "Symbol", "TorusStep",
     "__version__", "enumerate_admissible", "fock", "gauss", "index_pq",
     "montecarlo", "scalars", "spectral", "steps", "suites", "words",
 ]

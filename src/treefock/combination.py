@@ -10,7 +10,7 @@ its character, ``g.character(key.charges())``.
 
 A subclass keeps its frame, what all of its keys share, in its own
 ``__slots__`` and returns it from ``_frame``: the level of a Fock vector,
-the block shape and depth of a step function, nothing for a polynomial.
+the depth of a step sum, nothing for a polynomial.
 Sums and inner products need one frame and raise ValueError otherwise.
 Exact and float scalars do not mix: a float scalar times an exact
 combination, an inner product of an exact and a float combination, and a

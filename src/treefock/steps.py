@@ -6,12 +6,15 @@ first block lists the unmarked words and whose second block lists the marked
 ones.  The image of a vector therefore lives in an l2-sum of blocks indexed
 by the pair (p, q) = (unmarked count, marked count).
 
-The normalizing constant sqrt(2^(n*l) / (p! q!)) splits into sqrt2^(n*l),
-which lies in Q(sqrt2), and 1/sqrt(p! q!), which is fixed by the block
-shape.  A StepFunction stores its cell values with the first factor already
-multiplied in, and stands for those values divided by sqrt(p! q!).  Sums,
+A StepSum holds that image as one combination of grid cells, all at one
+depth; each cell fixes its block shape, and ``components`` splits the sum
+into its blocks.  The normalizing constant sqrt(2^(n*l) / (p! q!)) splits
+into sqrt2^(n*l), which lies in Q(sqrt2), and 1/sqrt(p! q!), which is fixed
+by the cell's shape.  A cell's stored value has the first factor already
+multiplied in, and stands for that value divided by sqrt(p! q!).  Sums,
 refinement, the torus action and equality therefore work on the stored
-values directly; only ``inner`` applies the shape constant, as 1/(p! q!).
+values directly; only ``inner`` applies the shape constant, as 1/(p! q!)
+per cell.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Mapping, Tuple
 
@@ -78,56 +82,55 @@ class GridCell:
                 tuple(w + (b,) for w, b in zip(self.right, bits[p:])))
 
 
-class StepFunction(Combination):
-    """A finite combination of same-shape cell indicators, divided by
-    sqrt(p! q!) for the block shape (p, q)."""
+class StepSum(Combination):
+    """Grid cell -> stored value, every cell at one depth.
 
-    __slots__ = ("degrees", "depth")
+    Cells of any block shape share one sum; a cell of shape (p, q) stands
+    for its value divided by sqrt(p! q!).
+    """
 
-    def __init__(self, degrees: Tuple[int, int], depth: int,
-                 terms: Mapping[GridCell, Scalar]) -> None:
-        cleaned: Dict[GridCell, Scalar] = {}
-        for cell, val in terms.items():
-            if cell.depth != depth:
-                raise ValueError("cell at the wrong depth")
-            if cell.degrees != degrees:
-                raise ValueError("cell with the wrong block shape")
-            if val == 0:
-                continue
-            cleaned[cell] = val
-        self.degrees = degrees
+    __slots__ = ("depth",)
+
+    def __init__(self, depth: int, terms: Mapping[GridCell, Scalar]) -> None:
+        if any(cell.depth != depth for cell in terms):
+            raise ValueError("cell at the wrong depth")
         self.depth = depth
-        self.terms = cleaned
-        self._backend = None
+        Combination.__init__(self, terms)
 
     def _frame(self) -> tuple:
-        return (self.degrees, self.depth)
+        return (self.depth,)
 
-    # Only benchmarks/tracing.py reads this name, to count cells; drop it
-    # once the tracer reads ``terms``.
+    @property
+    def components(self) -> Dict[Tuple[int, int], "StepSum"]:
+        """The block decomposition: shape (p, q) -> the sum of its cells."""
+        parts: Dict[Tuple[int, int], Dict[GridCell, Scalar]] = {}
+        for cell, v in self.terms.items():
+            parts.setdefault(cell.degrees, {})[cell] = v
+        return {shape: self._like(cells) for shape, cells in parts.items()}
+
+    # benchmarks/tracing.py counts cells through ``components`` and this
+    # alias; drop it once the tracer reads ``terms``.
     @property
     def values(self) -> Dict[GridCell, Scalar]:
         return self.terms
 
-    def inner(self, other: "StepFunction") -> Scalar:
-        """Integral of self * conj(other) over the product grid."""
-        p, q = self.degrees
-        # cell mass times the shape constant 1/sqrt(p! q!) squared
-        return Fraction(1, 2 ** (self.depth * (p + q))
-                        * math.factorial(p) * math.factorial(q)) * self._pair(other)
+    def inner(self, other: "StepSum") -> Scalar:
+        """Integral of self * conj(other) over the product grids."""
+        depth = self.depth
+        return self._pair(other, lambda cell: _weight(depth, *cell.degrees))
 
     def norm2(self) -> Scalar:
         return self.inner(self)
 
-    def refine(self) -> "StepFunction":
+    def refine(self) -> "StepSum":
         """The same function written on the grid one level deeper."""
         out: Dict[GridCell, Scalar] = {}
         for cell, v in self.terms.items():
             for child in cell.children():
                 out[child] = v
-        return StepFunction(self.degrees, self.depth + 1, {})._like(out)
+        return StepSum(self.depth + 1, {})._like(out)
 
-    def act(self, g: TorusStep) -> "StepFunction":
+    def act(self, g: TorusStep) -> "StepSum":
         """Multiply each cell by the step's character: values on the left
         block, inverse values on the right block."""
         if g.level > self.depth:
@@ -153,103 +156,19 @@ class StepFunction(Combination):
                    for (left, right), vals in groups.items())
 
     def __repr__(self) -> str:
-        return (f"StepFunction(degrees={self.degrees}, depth={self.depth}, "
-                f"cells={len(self.terms)})")
+        return f"StepSum(depth={self.depth}, cells={len(self.terms)})"
+
+
+@lru_cache(maxsize=None)
+def _weight(depth: int, p: int, q: int) -> Fraction:
+    """Cell mass times the shape constant 1/sqrt(p! q!) squared."""
+    return Fraction(1, 2 ** (depth * (p + q)) * math.factorial(p) * math.factorial(q))
 
 
 def _arrangements(block: Tuple[Word, ...]) -> int:
     """n! / prod m!, the number of distinct orderings of a block."""
     return math.factorial(len(block)) // math.prod(
         map(math.factorial, map(block.count, set(block))))
-
-
-class StepSum:
-    """An l2-sum element: one StepFunction per block shape (p, q)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Mapping[Tuple[int, int], StepFunction]) -> None:
-        cleaned: Dict[Tuple[int, int], StepFunction] = {}
-        for key, f in components.items():
-            if f.degrees != key:
-                raise ValueError("component stored under the wrong block shape")
-            if not f.is_zero:
-                cleaned[key] = f
-        self.components = cleaned
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    @property
-    def terms(self) -> Dict[GridCell, Scalar]:
-        """Every stored cell value, keyed by cell; a cell fixes its shape."""
-        return {cell: v for f in self.components.values()
-                for cell, v in f.terms.items()}
-
-    @staticmethod
-    def _align(a: StepFunction, b: StepFunction) -> Tuple[StepFunction, StepFunction]:
-        while a.depth < b.depth:
-            a = a.refine()
-        while b.depth < a.depth:
-            b = b.refine()
-        return a, b
-
-    def __add__(self, other: "StepSum") -> "StepSum":
-        if not isinstance(other, StepSum):
-            return NotImplemented
-        out = dict(self.components)
-        for key, f in other.components.items():
-            if key in out:
-                a, b = self._align(out[key], f)
-                out[key] = a + b
-            else:
-                out[key] = f
-        return StepSum(out)
-
-    def __sub__(self, other: "StepSum") -> "StepSum":
-        return self + other.scaled(-1)
-
-    def scaled(self, c: Scalar) -> "StepSum":
-        return StepSum({k: f.scaled(c) for k, f in self.components.items()})
-
-    def __rmul__(self, c: Scalar) -> "StepSum":
-        return self.scaled(c)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepSum):
-            return NotImplemented
-        if set(self.components) != set(other.components):
-            return False
-        for key, f in self.components.items():
-            a, b = self._align(f, other.components[key])
-            if a != b:
-                return False
-        return True
-
-    __hash__ = None
-
-    def inner(self, other: "StepSum") -> Scalar:
-        acc: Scalar = 0
-        for key, f in self.components.items():
-            g = other.components.get(key)
-            if g is None:
-                continue
-            a, b = self._align(f, g)
-            acc = acc + a.inner(b)
-        return acc
-
-    def norm2(self) -> Scalar:
-        return self.inner(self)
-
-    def refine(self) -> "StepSum":
-        return StepSum({k: f.refine() for k, f in self.components.items()})
-
-    def act(self, g: TorusStep) -> "StepSum":
-        return StepSum({k: f.act(g) for k, f in self.components.items()})
-
-    def __repr__(self) -> str:
-        return f"StepSum({sorted(self.components)})"
 
 
 def support_cells(word: AdmissibleWord) -> List[GridCell]:
@@ -275,11 +194,9 @@ def from_fock(v: FockVector) -> StepSum:
     """
     backend = v.backend()
     n = v.level
-    buckets: Dict[Tuple[int, int], Dict[GridCell, Scalar]] = {}
+    cells: Dict[GridCell, Scalar] = {}
     for word, coeff in v.terms.items():
         val = coeff * word.gram_diagonal() * scalars.sqrt2_pow(n * word.degree, backend)
-        bucket = buckets.setdefault(word.degrees, {})
         for cell in support_cells(word):
-            bucket[cell] = bucket.get(cell, 0) + val
-    return StepSum({key: StepFunction(key, n, {})._like(values)
-                    for key, values in buckets.items()})
+            cells[cell] = cells.get(cell, 0) + val
+    return StepSum(n, {})._like(cells)

@@ -3,13 +3,13 @@
 ``is_block_symmetric`` walks every permutation of the left block and every
 permutation of the right block of every cell, and asks that the permuted
 cell carry the same value.  It builds each permuted cell through the public,
-validating ``GridCell`` constructor.  ``StepFunction.is_block_symmetric``
+validating ``GridCell`` constructor.  ``StepSum.is_block_symmetric``
 decides the same question by grouping cells under their canonical form.
 """
 
 import itertools
 
-from treefock.steps import GridCell, StepFunction
+from treefock.steps import GridCell, StepSum
 
 
 def block_permuted(cell: GridCell, left_perm, right_perm) -> GridCell:
@@ -18,9 +18,9 @@ def block_permuted(cell: GridCell, left_perm, right_perm) -> GridCell:
                     tuple(cell.right[i] for i in right_perm))
 
 
-def is_block_symmetric(f: StepFunction) -> bool:
-    p, q = f.degrees
+def is_block_symmetric(f: StepSum) -> bool:
     for cell, v in f.terms.items():
+        p, q = cell.degrees
         for lp in itertools.permutations(range(p)):
             for rp in itertools.permutations(range(q)):
                 if f.terms.get(block_permuted(cell, lp, rp)) != v:

@@ -5,8 +5,8 @@ symmetric on both sides.  Three mutated controls of each function with more
 than one arrangement must read asymmetric on both sides: one value doubled,
 one cell dropped, and one cell added from a foreign arrangement (a canonical
 form the function does not use, with more than one arrangement).  Random
-functions, built symmetric per canonical form and then perturbed cell by
-cell, must get the same verdict from both sides.
+functions over one or two block shapes, built symmetric per canonical form
+and then perturbed cell by cell, must get the same verdict from both sides.
 """
 
 import itertools
@@ -17,15 +17,15 @@ from hypothesis import strategies as st
 
 import block_permutations as oracle
 from treefock import fock, steps
-from treefock.steps import GridCell, StepFunction
+from treefock.steps import GridCell, StepSum
 from treefock.words import all_words, enumerate_admissible
 
 
 def realized(level):
-    """(word, its block of the realized basis vector) for degrees 1 to 4."""
+    """(word, its realized basis vector) for degrees 1 to 4."""
     for degree in range(1, 5):
         for w in enumerate_admissible(level, degree):
-            yield w, steps.from_fock(fock.basic(w)).components[w.degrees]
+            yield w, steps.from_fock(fock.basic(w))
 
 
 def agree(f):
@@ -42,7 +42,7 @@ def test_realized_basis_agrees_with_oracle(level):
         if w.variant_count() > 1:
             by_shape.setdefault(w.degrees, []).append(f)
     controls = 0
-    for shape, fs in by_shape.items():
+    for fs in by_shape.values():
         # each function borrows its foreign cell from the next one of its shape
         for f, other in zip(fs, fs[1:] + fs[:1]):
             first = next(iter(f.terms))
@@ -51,7 +51,7 @@ def test_realized_basis_agrees_with_oracle(level):
             if other is not f:
                 mutants.append({**f.terms, next(iter(other.terms)): f.terms[first]})
             for terms in mutants:
-                assert not agree(StepFunction(shape, level, terms)), f
+                assert not agree(StepSum(level, terms)), f
             controls += len(mutants)
     assert controls > 0
 
@@ -66,9 +66,10 @@ def cells_of(shape, depth):
 
 @st.composite
 def step_functions(draw):
-    shape = draw(st.sampled_from([(1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (3, 0)]))
+    shapes = draw(st.lists(st.sampled_from([(1, 0), (2, 0), (1, 1), (2, 1), (1, 2), (3, 0)]),
+                           min_size=1, max_size=2, unique=True))
     depth = draw(st.integers(1, 2))
-    cells = cells_of(shape, depth)
+    cells = [c for shape in shapes for c in cells_of(shape, depth)]
     forms = {}
     for c in cells:
         forms.setdefault((tuple(sorted(c.left)), tuple(sorted(c.right))), []).append(c)
@@ -78,7 +79,7 @@ def step_functions(draw):
     overrides = draw(st.dictionaries(st.sampled_from(cells), st.integers(0, 2),
                                      max_size=2))
     terms.update(overrides)
-    return StepFunction(shape, depth, terms)
+    return StepSum(depth, terms)
 
 
 @settings(max_examples=150, deadline=None)

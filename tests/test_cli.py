@@ -58,6 +58,17 @@ def test_csv_deterministic_bytes(capsys):
     assert all(row.split(",")[3] == "True" for row in rows)
 
 
+def test_block_symmetry_covers_every_degree(capsys):
+    # all 60 basis words of degrees 1 to 5 at level 1, the (5, 0) and (0, 5)
+    # words included
+    args = ["verify-alpha", "--format", "json", "--level-max", "1", "--degree-max", "5"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == cli.EXIT_OK
+    checks = {c["check"]: c for c in json.loads(out)["suites"]}
+    assert checks["block-symmetry"]["cases"] == 60
+    assert checks["block-symmetry"]["passed"] is True
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(["verify-density", "--format", "json",

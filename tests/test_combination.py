@@ -10,7 +10,7 @@ from treefock import fock, gauss, scalars, steps
 from treefock.fock import FockVector
 from treefock.gauss import GaussMonomial, GaussPoly
 from treefock.scalars import ExactComplex, QSqrt2
-from treefock.steps import GridCell, StepFunction
+from treefock.steps import GridCell, StepSum
 from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible, make_word
 
 W = AdmissibleWord.parse
@@ -18,8 +18,9 @@ W = AdmissibleWord.parse
 # For each type: a constructor from a terms dict, and keys in one frame.
 KINDS = {
     "fock": (lambda terms: FockVector(1, terms), list(enumerate_admissible(1, 2))),
-    "step": (lambda terms: StepFunction((2, 0), 1, terms),
-             [GridCell(1, ((a,), (b,)), ()) for a in (0, 1) for b in (0, 1)]),
+    "step": (lambda terms: StepSum(1, terms),
+             [GridCell(1, ((a,), (b,)), ()) for a in (0, 1) for b in (0, 1)]
+             + [GridCell(1, ((a,),), ((b,),)) for a in (0, 1) for b in (0, 1)]),
     "gauss": (GaussPoly, [GaussMonomial.of({make_word(w): (a, b)})
                           for w in ("0", "1") for a in (0, 1) for b in (0, 2)]),
 }
@@ -59,8 +60,7 @@ def exact_and_float(kind):
     if kind == "fock":
         return v, vf
     if kind == "step":
-        return (steps.from_fock(v).components[(2, 1)],
-                steps.from_fock(vf).components[(2, 1)])
+        return steps.from_fock(v), steps.from_fock(vf)
     return gauss.from_fock(v), gauss.from_fock(vf)
 
 
@@ -76,7 +76,7 @@ def test_float_scalar_times_exact_combination_raises(kind):
 
 
 @pytest.mark.parametrize("kind, inner", [("fock", fock.inner),
-                                         ("step", StepFunction.inner),
+                                         ("step", StepSum.inner),
                                          ("gauss", gauss.inner)])
 def test_inner_product_of_exact_and_float_raises(kind, inner):
     u, uf = exact_and_float(kind)
@@ -90,9 +90,8 @@ def test_inner_product_of_exact_and_float_raises(kind, inner):
 @pytest.mark.parametrize("kind, act", [
     ("fock", fock.act),
     ("step", lambda g, f: f.act(g)),
-    ("step", lambda g, f: steps.StepSum({f.degrees: f}).act(g)),
     ("gauss", gauss.koopman),
-], ids=["fock.act", "StepFunction.act", "StepSum.act", "gauss.koopman"])
+], ids=["fock.act", "StepSum.act", "gauss.koopman"])
 def test_step_of_the_other_backend_cannot_act(kind, act):
     u, uf = exact_and_float(kind)
     g = TorusStep.from_eighth_root_indices([1, 2])
@@ -110,14 +109,14 @@ def test_adding_across_frames_raises():
         fock.basic(W("0")) + fock.basic(W("00"))
     with pytest.raises(ValueError):
         fock.inner(fock.basic(W("0")), fock.basic(W("00")))
-    f = steps.from_fock(fock.basic(W("0 1"))).components[(2, 0)]
-    g = steps.from_fock(fock.basic(W("0 1*"))).components[(1, 1)]
-    with pytest.raises(ValueError):
-        f + g
+    f = steps.from_fock(fock.basic(W("0 1")))
     with pytest.raises(ValueError):
         f + f.refine()
     with pytest.raises(ValueError):
+        f - f.refine()
+    with pytest.raises(ValueError):
         f.inner(f.refine())
+    assert f != f.refine()  # one function, but step sums at two depths
     assert f + f == 2 * f
 
 
@@ -137,7 +136,7 @@ def test_backend_cache_follows_each_result(kind):
     assert uf._like(u.terms).backend() == scalars.EXACT
     assert u._like({}).backend() == scalars.EXACT
     # mixing still raises once both caches are full
-    inner = {"fock": fock.inner, "step": StepFunction.inner, "gauss": gauss.inner}[kind]
+    inner = {"fock": fock.inner, "step": StepSum.inner, "gauss": gauss.inner}[kind]
     with pytest.raises(TypeError):
         inner(u, uf)
     with pytest.raises(TypeError):

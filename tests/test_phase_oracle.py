@@ -1,6 +1,6 @@
 """Every torus-action path against the phase loops in ``phase_oracle``.
 
-``fock.act``, ``StepFunction.act``, ``gauss.koopman`` and ``spectral.phase_at``
+``fock.act``, ``StepSum.act``, ``gauss.koopman`` and ``spectral.phase_at``
 all reach ``TorusStep.character`` through a key's ``charges()``.  Each path,
 and ``character`` on each key type directly, must agree with the oracle loop
 for that key type: literally on the exact backend, within 1e-12 on the float
@@ -18,7 +18,7 @@ from treefock import fock, gauss, scalars, spectral
 from treefock.gauss import GaussMonomial, GaussPoly
 from treefock.scalars import EIGHTH_ROOTS, EXACT, FLOAT
 from treefock.spectral import IndexFunction
-from treefock.steps import GridCell, StepFunction
+from treefock.steps import GridCell, StepSum
 from treefock.words import AdmissibleWord, Symbol, TorusStep, word_index
 
 MAX_DEPTH = 3
@@ -103,7 +103,7 @@ def test_step_function_act_matches_cell_oracle(data, gd):
     cell = data.draw(grid_cells(depth))
     want = phase_oracle.cell_phase(g, cell)
     agree(g, g.character(cell.charges()), want)
-    f = StepFunction(cell.degrees, depth, {cell: scalars.one(g.backend)})
+    f = StepSum(depth, {cell: scalars.one(g.backend)})
     agree(g, f.act(g)[cell], want)
 
 

@@ -157,10 +157,13 @@ def test_compatibility_report():
 
 
 def test_tensor_cap(monkeypatch):
-    x = IndexFunction.of({1: 3})
-    mu = DepthMeasure.uniform(x, 2)
+    # 24 pairings x 4 cells x 4 cells = 384 ops: under the default cap, over
+    # the lowered one, so the test fails unless tensor reads the constant
+    x = IndexFunction.of({1: 2})
+    mu = DepthMeasure.uniform(x, 1)
+    assert mu.tensor(mu).index == IndexFunction.of({1: 4})
     monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 100)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="tensor product size 384"):
         mu.tensor(mu)
 
 

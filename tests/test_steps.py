@@ -8,7 +8,7 @@ import pytest
 
 from treefock import fock, scalars, steps
 from treefock.scalars import ExactComplex, QSqrt2
-from treefock.steps import GridCell, StepFunction
+from treefock.steps import GridCell, StepSum
 from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible
 
 W = AdmissibleWord.parse
@@ -50,8 +50,8 @@ def test_inner_applies_mass_and_shape_constant():
     a_cell = GridCell(1, ((0,), (1,)), ((0,),))
     b_cell = GridCell(1, ((1,), (0,)), ((0,),))
     c_cell = GridCell(1, ((1,), (1,)), ((1,),))
-    f = StepFunction((2, 1), 1, {a_cell: 3, b_cell: ExactComplex(0, 1), c_cell: 5})
-    g = StepFunction((2, 1), 1, {a_cell: 2, b_cell: ExactComplex(1, 1)})
+    f = StepSum(1, {a_cell: 3, b_cell: ExactComplex(0, 1), c_cell: 5})
+    g = StepSum(1, {a_cell: 2, b_cell: ExactComplex(1, 1)})
     acc = 3 * 2 + ExactComplex(0, 1) * ExactComplex(1, -1)
     # cell mass 1/2^3, shape constant 1/(2! 1!)
     assert f.inner(g) == Fraction(1, 8) * acc / 2
@@ -62,11 +62,9 @@ def test_constructor_validates_cells():
     # from_fock and refine build from cells valid by construction and skip
     # this check; the public constructor keeps it
     cell = GridCell(1, ((0,), (1,)), ((0,),))
-    assert StepFunction((2, 1), 1, {cell: 1}).terms == {cell: 1}
+    assert StepSum(1, {cell: 1}).terms == {cell: 1}
     with pytest.raises(ValueError, match="wrong depth"):
-        StepFunction((2, 1), 2, {cell: 1})
-    with pytest.raises(ValueError, match="wrong block shape"):
-        StepFunction((1, 2), 1, {cell: 1})
+        StepSum(2, {cell: 1})
 
 
 def test_norm_transport_level1():
@@ -85,10 +83,15 @@ def test_gram_transport_level1():
 
 
 def test_refine_is_the_same_function():
+    # a step sum lives at one depth, so compare at the finer one: every
+    # child cell carries its parent's value
     f = steps.from_fock(fock.basic(W("0 0 1*")))
-    assert f.refine() == f
-    assert f.refine().refine() == f
-    assert f.refine().norm2() == f.norm2()
+    g = f.refine()
+    assert g.depth == f.depth + 1
+    assert g == StepSum(g.depth, {child: v for cell, v in f.terms.items()
+                                  for child in cell.children()})
+    assert g.norm2() == f.norm2()
+    assert g.refine().norm2() == f.norm2()
 
 
 def test_embed_coherence_examples():
@@ -153,3 +156,35 @@ def test_float_backend_values_and_norms():
                        for val in f.terms.values())
             assert f.norm2() == pytest.approx(fock.norm2(v), rel=1e-12, abs=1e-12)
 
+
+def mixed_shapes():
+    """A level-1 step sum with cells of the shapes (2, 1), (2, 0) and (1, 0)."""
+    v = (fock.basic(W("0 0 1*")) + ExactComplex(1, 1) * fock.basic(W("0 1"))
+         + 3 * fock.basic(W("1")))
+    return steps.from_fock(v)
+
+
+def test_components_partition_the_cells_by_shape():
+    f = mixed_shapes()
+    parts = f.components
+    assert set(parts) == {(2, 1), (2, 0), (1, 0)}
+    for shape, part in parts.items():
+        assert type(part) is StepSum and part.depth == f.depth
+        assert part.terms == {c: v for c, v in f.terms.items() if c.degrees == shape}
+    assert sum(len(part.terms) for part in parts.values()) == len(f.terms)
+    total = StepSum(f.depth, {})
+    for part in parts.values():
+        total = total + part
+    assert total == f
+    assert f.values is f.terms
+
+
+def test_inner_is_the_sum_of_block_inners():
+    f = mixed_shapes()
+    g = steps.from_fock(2 * fock.basic(W("0 0 1*")) + fock.basic(W("1"))
+                        + fock.basic(W("0 0")))
+    fp, gp = f.components, g.components
+    for a, b, ap, bp in ((f, g, fp, gp), (g, f, gp, fp), (f, f, fp, fp)):
+        assert a.inner(b) == sum(part.inner(bp[shape]) for shape, part in ap.items()
+                                 if shape in bp)
+    assert f.inner(g) != 0
