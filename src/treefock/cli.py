@@ -50,34 +50,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"treefock {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    # each option's destination is a RunConfig field, whose default it reads
+    defaults = RunConfig()
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--level-max", type=int, default=2, metavar="N",
-                        help="deepest word level to enumerate, 1..4 (default 2)")
-    common.add_argument("--degree-max", type=int, default=4, metavar="L",
-                        help="largest word degree to enumerate, 1..5 (default 4)")
-    common.add_argument("--depth-max", type=int, default=10, metavar="K",
-                        help="deepest grid or sample refinement, 1..16 (default 10)")
-    common.add_argument("--samples", type=int, default=100_000, metavar="S",
-                        help="Monte Carlo sample count (default 100000)")
-    common.add_argument("--seed", type=int, default=7, metavar="SEED",
-                        help="seed for every randomized choice (default 7)")
-    common.add_argument("--backend", choices=("exact", "float"), default="exact",
+    common.add_argument("--level-max", type=int, default=defaults.level_max,
+                        metavar="N",
+                        help="deepest word level to enumerate, 1..4 "
+                             "(default %(default)s)")
+    common.add_argument("--degree-max", type=int, default=defaults.degree_max,
+                        metavar="L",
+                        help="largest word degree to enumerate, 1..5 "
+                             "(default %(default)s)")
+    common.add_argument("--depth-max", type=int, default=defaults.depth_max,
+                        metavar="K",
+                        help="deepest grid or sample refinement, 2..16 "
+                             "(default %(default)s)")
+    common.add_argument("--samples", type=int, default=defaults.samples, metavar="S",
+                        help="Monte Carlo sample count (default %(default)s)")
+    common.add_argument("--seed", type=int, default=defaults.seed, metavar="SEED",
+                        help="seed for every randomized choice (default %(default)s)")
+    common.add_argument("--backend", choices=("exact", "float"),
+                        default=defaults.backend,
                         help="exact eighth-root phases or float angles")
     common.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                        default="text", help="report format (default text)")
-    common.add_argument("--output", default=None, metavar="PATH",
+                        default=defaults.fmt,
+                        help="report format (default %(default)s)")
+    common.add_argument("--output", default=defaults.output, metavar="PATH",
                         help="write the report here instead of stdout")
     for name in (*COMMANDS, "all"):
         sub.add_parser(name, parents=[common], help=_COMMAND_HELP[name],
                        description=_COMMAND_HELP[name])
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(command=args.command, level_max=args.level_max,
-                     degree_max=args.degree_max, depth_max=args.depth_max,
-                     samples=args.samples, seed=args.seed,
-                     backend=args.backend, fmt=args.fmt, output=args.output)
 
 
 def run_suites(cfg: RunConfig) -> tuple[List[SuiteReport], Dict[str, float]]:
@@ -154,8 +157,7 @@ _RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
+    cfg = RunConfig(**vars(parser.parse_args(argv)))
     try:
         cfg.validate()
     except ValueError as exc:

@@ -7,22 +7,23 @@ a deeper level by that substitution alone: each factor z_w^a conj(z_w)^b of
 a monomial becomes z^a conj(z)^b, z = 2^(-K/2) * (sum of z_{w+t} over the
 words t of length K) for the gap K, multiplied in one factor at a time.
 Each product and sum is held to ``DEFAULT_MAX_TERMS`` monomials, a module
-constant read at call time, and CapExceeded is raised above it.  Moments of
-same-level polynomials follow the diagonal rule
+constant read at call time, and CapExceeded is raised above it.
+
+The inner product <p, q> = E[p * conj(q)] refines both sides to one level,
+where the variables are independent and the Wick rule
 
     E[ z^a conj(z)^b ] = a! if a == b else 0,   independently per variable,
 
-and ``moment_by_pairings`` recomputes monomial moments by brute-force Wick
-matching as an independent oracle.
-
-The inner product <p, q> = E[p * conj(q)] is taken without building the
-product polynomial, by charge matching.  The monomial m1 * conj(m2) has
-exponents (a1 + b2, b1 + a2) on each variable, so its moment is nonzero
-exactly when a1 - b1 == a2 - b2 for every word: when m1 and m2 carry the
-same charge vector (w, a - b), words of charge zero left out.  ``inner``
-groups q's monomials by that vector and pairs each monomial of p only
-within its group; a matched pair contributes c1 * conj(c2) times the
-product over words of (a1 + b2)!, and every other pair contributes 0.
+applies.  It is taken without building the product polynomial, by charge
+matching.  The monomial m1 * conj(m2) has exponents (a1 + b2, b1 + a2) on
+each variable, so its moment is nonzero exactly when a1 - b1 == a2 - b2 for
+every word: when m1 and m2 carry the same charge vector (w, a - b), words of
+charge zero left out.  ``inner`` groups q's monomials by that vector and
+pairs each monomial of p only within its group; a matched pair contributes
+c1 * conj(c2) times the product over words of (a1 + b2)!, and every other
+pair contributes 0.  The moment E[p] is <p, 1>, and ``moment_by_pairings``
+recomputes monomial moments by brute-force Wick matching as an independent
+oracle.
 
 A Fock vector realizes as the product of its letters' variables (marked
 letters conjugated); a torus step acts by composition, multiplying each
@@ -30,11 +31,11 @@ variable by the step's value on its cell, so a monomial picks up the step's
 character of its charges (w, a - b).
 
 ``expansion_remainder`` and the rate/expansion reports quantify how fast the
-diagonal part of a power's depth-l expansion decays: the mean-centered
-squared norm is (2m)! - (m!)^2 over 2^(l(2m-1)) on the diagonal and the full
-norm is (k+m)!/2^(l(k+m-1)) off it.  The mean itself is the exact centering;
-it coincides with sqrt(m!) only for m <= 1, and the report records whether
-that shortcut would have agreed.
+diagonal part of the depth-l expansion of a power of the root variable
+z = z_e decays: the mean-centered squared norm is (2m)! - (m!)^2 over
+2^(l(2m-1)) on the diagonal and the full norm is (k+m)!/2^(l(k+m-1)) off it.
+The mean itself is the exact centering; it coincides with sqrt(m!) only for
+m <= 1, and the report records whether that shortcut would have agreed.
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ class GaussPoly(Combination):
         return cls({GaussMonomial.unit(): c})
 
     @classmethod
-    def variable(cls, w: Word, barred: bool = False, coeff: Scalar = 1) -> "GaussPoly":
-        mono = GaussMonomial.of({w: (0, 1) if barred else (1, 0)})
-        return cls({mono: coeff})
+    def variable(cls, w: Word) -> "GaussPoly":
+        """z_w; its conjugate is ``variable(w).conj()``."""
+        return cls({GaussMonomial.of({w: (1, 0)}): 1})
 
     def max_word_length(self) -> int:
         return max((m.max_word_length() for m in self.terms), default=0)
@@ -215,25 +216,9 @@ def refine(p: GaussPoly, level: int) -> GaussPoly:
 
 
 def moment(p: GaussPoly) -> Scalar:
-    """E[p] under independent standard complex Gaussian coordinates.
-
-    Requires a single variable level (refine first otherwise): variables at
-    different levels are dependent and the diagonal rule does not apply.
-    """
-    lengths = {len(w) for m in p.terms for w in m.words()}
-    if len(lengths) > 1:
-        raise ValueError("mixed variable lengths; refine to a common level first")
-    acc: Scalar = 0
-    for mono, coeff in p.terms.items():
-        factor = 1
-        for _, a, b in mono.exps:
-            if a != b:
-                factor = 0
-                break
-            factor *= math.factorial(a)
-        if factor:
-            acc = acc + coeff * factor
-    return acc
+    """E[p] = <p, 1>; variables of different levels are refined to the
+    deepest first, as ``inner`` does."""
+    return inner(p, GaussPoly.constant(scalars.one(p.backend())))
 
 
 def inner(p: GaussPoly, q: GaussPoly) -> Scalar:
@@ -316,18 +301,18 @@ def moment_by_pairings(mono: GaussMonomial) -> int:
     return count
 
 
-def expansion_remainder(base: Word, k: int, m: int, depth: int) -> GaussPoly:
+def expansion_remainder(k: int, m: int, depth: int) -> GaussPoly:
     """The diagonal part of the depth-``depth`` expansion of z^k conj(z)^m.
 
-    2^(-depth*(k+m)/2) * sum over children t of z_{base+t}^k conj(z_{base+t})^m.
+    2^(-depth*(k+m)/2) * sum over the depth-``depth`` words t of
+    z_t^k conj(z_t)^m.
     """
     if k < 0 or m < 0 or k + m < 1:
         raise ValueError("need nonnegative exponents with k + m >= 1")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     scale = scalars.sqrt2_pow(-depth * (k + m))
-    return GaussPoly({GaussMonomial.of({base + t: (k, m)}): scale
-                      for t in all_words(depth)})
+    return GaussPoly({GaussMonomial.of({t: (k, m)}): scale for t in all_words(depth)})
 
 
 @dataclass
@@ -348,8 +333,8 @@ class RemainderRate:
         return self.matches_closed_form
 
 
-def remainder_rate(base: Word, k: int, m: int, depth: int) -> RemainderRate:
-    r = expansion_remainder(base, k, m, depth)
+def remainder_rate(k: int, m: int, depth: int) -> RemainderRate:
+    r = expansion_remainder(k, m, depth)
     c = moment(r)
     centered = r - GaussPoly.constant(c)
     n2 = inner(centered, centered)
@@ -382,7 +367,7 @@ class ExpansionReport:
         return self.identity_holds and self.remainder_matches
 
 
-def power_expansion_report(base: Word, k: int, m: int, depth: int) -> ExpansionReport:
+def power_expansion_report(k: int, m: int, depth: int) -> ExpansionReport:
     """Verify z^k conj(z)^m = 2^(-depth(k+m)/2) * sum over index tuples
     of the corresponding product of child variables, split into its
     constant-index (diagonal) and mixed-index parts."""
@@ -392,18 +377,18 @@ def power_expansion_report(base: Word, k: int, m: int, depth: int) -> ExpansionR
     tuples = len(children) ** (k + m)
     if tuples > DEFAULT_MAX_TERMS:
         raise CapExceeded(f"{tuples} index tuples exceed the cap {DEFAULT_MAX_TERMS}")
-    lhs = refine(GaussPoly({GaussMonomial.of({base: (k, m)}): 1}), len(base) + depth)
+    lhs = refine(GaussPoly({GaussMonomial.of({(): (k, m)}): 1}), depth)
     scale = scalars.sqrt2_pow(-depth * (k + m))
     rhs: Dict[GaussMonomial, Scalar] = {}
     diagonal: Dict[GaussMonomial, Scalar] = {}
     for choice in itertools.product(children, repeat=k + m):
         exps: Dict[Word, Tuple[int, int]] = {}
         for t in choice[:k]:
-            a, b = exps.get(base + t, (0, 0))
-            exps[base + t] = (a + 1, b)
+            a, b = exps.get(t, (0, 0))
+            exps[t] = (a + 1, b)
         for t in choice[k:]:
-            a, b = exps.get(base + t, (0, 0))
-            exps[base + t] = (a, b + 1)
+            a, b = exps.get(t, (0, 0))
+            exps[t] = (a, b + 1)
         mono = GaussMonomial.of(exps)
         rhs[mono] = rhs.get(mono, 0) + scale
         if len(set(choice)) == 1:
@@ -412,7 +397,7 @@ def power_expansion_report(base: Word, k: int, m: int, depth: int) -> ExpansionR
     return ExpansionReport(
         k, m, depth,
         identity_holds=(lhs == rhs_poly),
-        remainder_matches=(GaussPoly(diagonal) == expansion_remainder(base, k, m, depth)),
+        remainder_matches=(GaussPoly(diagonal) == expansion_remainder(k, m, depth)),
         constant_index_terms=len(children),
         nonconstant_index_terms=tuples - len(children),
     )

@@ -14,10 +14,11 @@ a + b*sqrt2 from rational a, b; `QSqrt2` is the subclass of `ExactComplex`
 for the real subfield, ``c == d == 0``.
 
 The float backend uses the builtin ``complex``; the module-level helpers
-(`one`, `sqrt2_pow`, `eighth_root`, ...) dispatch on a backend name.  Exact
-and float scalars are deliberately not inter-operable: an `ExactComplex`
-mixed with a ``float`` or ``complex`` raises TypeError instead of silently
-degrading precision.  Plain ``int`` and ``Fraction`` values coerce into
+`one`, `sqrt2_pow` and `inv_sqrt2_pow` dispatch on a backend name, while
+`eighth_root` is exact only and `phase` float only.  Exact and float scalars
+are deliberately not inter-operable: an `ExactComplex` mixed with a
+``float`` or ``complex`` raises TypeError instead of silently degrading
+precision.  Plain ``int`` and ``Fraction`` values coerce into
 either backend, which lets vectors keep rational coefficients in their
 cheapest form until an irrational scalar actually enters; `one` and `zero`
 return plain ints on the exact backend for that reason.  A rational counts
@@ -374,11 +375,9 @@ def inv_sqrt2_pow(exponent: int, backend: str = EXACT) -> Scalar:
     return sqrt2_pow(-exponent, backend)
 
 
-def eighth_root(k: int, backend: str = EXACT) -> Scalar:
-    """exp(i*pi*k/4)."""
-    if backend == EXACT:
-        return EIGHTH_ROOTS[k % 8]
-    return cmath.exp(1j * math.pi * k / 4.0)
+def eighth_root(k: int) -> ExactComplex:
+    """exp(i*pi*k/4), exactly; float steps take `phase` of an angle."""
+    return EIGHTH_ROOTS[k % 8]
 
 
 def phase(theta: float) -> complex:
@@ -408,17 +407,19 @@ def backend_of(x: Scalar) -> str:
     return FLOAT if isinstance(x, (float, complex)) else EXACT
 
 
-def backend_of_values(values, default: str = EXACT) -> str:
+def backend_of_values(values) -> str:
+    """FLOAT if any of the values is a float, else EXACT (also when empty)."""
     for v in values:
         if isinstance(v, (float, complex)):
             return FLOAT
-    return default
+    return EXACT
 
 
-def is_unit_modulus(x: Scalar, backend: str, tol: float = 1e-12) -> bool:
+def is_unit_modulus(x: Scalar, backend: str) -> bool:
+    """|x| == 1: exactly on the exact backend, within 1e-12 on floats."""
     if backend == EXACT:
         return abs2(x) == 1
-    return abs(abs(complex(x)) - 1.0) <= tol
+    return abs(abs(complex(x)) - 1.0) <= 1e-12
 
 
 def sqrt_in_tower(q: Fraction) -> Optional[ExactComplex]:
@@ -442,8 +443,4 @@ def sqrt_in_tower(q: Fraction) -> Optional[ExactComplex]:
     if twos % 2 == 0:
         return _reduced(num, 0, 0, 0, q.denominator)
     return _reduced(0, num, 0, 0, q.denominator)
-
-
-def approx_equal(x: Scalar, y: Scalar, tol: float = 1e-9) -> bool:
-    return abs(complex(x) - complex(y)) <= tol
 

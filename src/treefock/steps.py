@@ -46,6 +46,8 @@ class GridCell:
         for w in self.left + self.right:
             if len(w) != self.depth:
                 raise ValueError("cell coordinate at the wrong depth")
+            if any(b not in (0, 1) for b in w):
+                raise ValueError("cell coordinate bits must be 0 or 1")
 
     @classmethod
     def _trusted(cls, depth: int, left: Tuple[Word, ...],

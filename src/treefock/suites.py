@@ -31,6 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import fock, gauss, montecarlo, scalars, spectral, steps
+from .combination import Combination
 from .errors import CapExceeded
 from .scalars import EXACT
 from .spectral import DepthMeasure, IndexFunction, index_pq
@@ -58,8 +59,8 @@ class RunConfig:
             raise ValueError("level-max must be in 1..4")
         if not 1 <= self.degree_max <= 5:
             raise ValueError("degree-max must be in 1..5")
-        if not 1 <= self.depth_max <= 16:
-            raise ValueError("depth-max must be in 1..16")
+        if not 2 <= self.depth_max <= 16:
+            raise ValueError("depth-max must be in 2..16")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if self.backend not in scalars.BACKENDS:
@@ -171,28 +172,24 @@ def _random_coeff(cfg: RunConfig, rng: random.Random):
     return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
 
 
-def _random_vector(cfg: RunConfig, level: int, rng: random.Random,
-                   terms: int = 3) -> fock.FockVector:
+def _random_vector(cfg: RunConfig, level: int, rng: random.Random) -> fock.FockVector:
     words = _basis(level, cfg.degree_max)
     out = fock.FockVector(level, {})
-    for _ in range(terms):
+    for _ in range(3):
         w = words[rng.randrange(len(words))]
         out = out + _random_coeff(cfg, rng) * fock.basic(w, cfg.backend)
     return out
 
 
 def _close(cfg: RunConfig, a, b) -> bool:
+    """Equality of two scalars, or of two Fock vectors, Gaussian polynomials
+    or step sums: literal on the exact backend, within FLOAT_TOL on floats,
+    coefficientwise for combinations."""
     if cfg.backend == EXACT:
         return a == b
-    return scalars.approx_equal(a, b, FLOAT_TOL)
-
-
-def _equal(cfg: RunConfig, a, b) -> bool:
-    """Equality of two Fock vectors, Gaussian polynomials or step sums:
-    literal on the exact backend, coefficientwise within tolerance on floats."""
-    if cfg.backend == EXACT:
-        return a == b
-    return all(abs(complex(c)) <= FLOAT_TOL for c in (a - b).terms.values())
+    if isinstance(a, Combination):
+        return all(abs(complex(c)) <= FLOAT_TOL for c in (a - b).terms.values())
+    return abs(complex(a) - complex(b)) <= FLOAT_TOL
 
 
 # ------------------------------------------------------------------ fock
@@ -296,7 +293,7 @@ def fock_suites(cfg: RunConfig) -> List[SuiteReport]:
                 e = fock.embed(b)
                 ok = _close(cfg, fock.norm2(e), fock.norm2(b))
                 if w.degree <= 4:
-                    ok = ok and _equal(cfg, e, fock.embed_by_enumeration(b))
+                    ok = ok and _close(cfg, e, fock.embed_by_enumeration(b))
                 r.case(ok, word=w)
             for _ in range(12):
                 u = _random_vector(cfg, level, rng)
@@ -326,11 +323,11 @@ def fock_suites(cfg: RunConfig) -> List[SuiteReport]:
                 h = _random_step(cfg, level, rng)
                 v = _random_vector(cfg, level, rng)
                 ok = (_close(cfg, fock.norm2(fock.act(g, v)), fock.norm2(v))
-                      and _equal(cfg, fock.act(g, fock.act(h, v)),
+                      and _close(cfg, fock.act(g, fock.act(h, v)),
                                  fock.act(g * h, v))
-                      and _equal(cfg, fock.act(TorusStep.identity(level, cfg.backend),
+                      and _close(cfg, fock.act(TorusStep.identity(level, cfg.backend),
                                                v), v)
-                      and _equal(cfg, fock.act(g.inverse(), fock.act(g, v)), v))
+                      and _close(cfg, fock.act(g.inverse(), fock.act(g, v)), v))
                 r.case(ok, level=level)
     return checks.reports
 
@@ -410,9 +407,9 @@ def step_suites(cfg: RunConfig) -> List[SuiteReport]:
                 h = _random_step(cfg, level, rng)
                 v = _random_vector(cfg, level, rng)
                 f = steps.from_fock(v)
-                ok = (_equal(cfg, steps.from_fock(fock.act(g, v)), f.act(g))
+                ok = (_close(cfg, steps.from_fock(fock.act(g, v)), f.act(g))
                       and _close(cfg, f.act(g).norm2(), f.norm2())
-                      and _equal(cfg, f.act(g).act(h), f.act(g * h)))
+                      and _close(cfg, f.act(g).act(h), f.act(g * h)))
                 r.case(ok, level=level)
 
     with checks.run("block-symmetry",
@@ -489,9 +486,9 @@ def gauss_suites(cfg: RunConfig) -> List[SuiteReport]:
                 h = _random_step(cfg, level, rng)
                 p = gauss.from_fock(_random_vector(cfg, level, rng))
                 ok = (_close(cfg, gauss.norm2(gauss.koopman(g, p)), gauss.norm2(p))
-                      and _equal(cfg, gauss.koopman(g, gauss.koopman(h, p)),
+                      and _close(cfg, gauss.koopman(g, gauss.koopman(h, p)),
                                  gauss.koopman(g * h, p))
-                      and _equal(cfg,
+                      and _close(cfg,
                                  gauss.koopman(TorusStep.identity(level, cfg.backend),
                                                p),
                                  p))
@@ -503,7 +500,7 @@ def gauss_suites(cfg: RunConfig) -> List[SuiteReport]:
             for _ in range(8):
                 g = _random_step(cfg, level, rng)
                 v = _random_vector(cfg, level, rng)
-                r.case(_equal(cfg, gauss.from_fock(fock.act(g, v)),
+                r.case(_close(cfg, gauss.from_fock(fock.act(g, v)),
                               gauss.koopman(g, gauss.from_fock(v))),
                        level=level)
 
@@ -547,11 +544,11 @@ def coherence_suites(cfg: RunConfig) -> List[SuiteReport]:
                     rng.sample(range(len(basis)), min(120, len(basis)))))
             for w in basis:
                 b = fock.basic(w, cfg.backend)
-                r.case(_equal(cfg, steps.from_fock(b).refine(),
+                r.case(_close(cfg, steps.from_fock(b).refine(),
                               steps.from_fock(fock.embed(b))), word=w)
             for _ in range(6):
                 v = _random_vector(cfg, level, rng)
-                r.case(_equal(cfg, steps.from_fock(v).refine(),
+                r.case(_close(cfg, steps.from_fock(v).refine(),
                               steps.from_fock(fock.embed(v))), level=level)
 
     with checks.run("embed-gauss",
@@ -564,7 +561,7 @@ def coherence_suites(cfg: RunConfig) -> List[SuiteReport]:
                     rng.sample(range(len(basis)), min(120, len(basis)))))
             for w in basis:
                 b = fock.basic(w, cfg.backend)
-                r.case(_equal(cfg, gauss.refine(gauss.from_fock(b), level + 1),
+                r.case(_close(cfg, gauss.refine(gauss.from_fock(b), level + 1),
                               gauss.from_fock(fock.embed(b))), word=w)
 
     with checks.run("embed-equivariance",
@@ -574,7 +571,7 @@ def coherence_suites(cfg: RunConfig) -> List[SuiteReport]:
             for _ in range(8):
                 g = _random_step(cfg, level, rng)
                 v = _random_vector(cfg, level, rng)
-                r.case(_equal(cfg, fock.embed(fock.act(g, v)),
+                r.case(_close(cfg, fock.embed(fock.act(g, v)),
                               fock.act(g, fock.embed(v))), level=level)
 
     with checks.run("cross-gram",
@@ -606,7 +603,7 @@ def density_suites(cfg: RunConfig) -> List[SuiteReport]:
                 for m in range(0, 5):
                     if not 1 <= k + m <= 4:
                         continue
-                    rate = gauss.remainder_rate((), k, m, depth)
+                    rate = gauss.remainder_rate(k, m, depth)
                     ok = rate.matches_closed_form
                     if k == m:
                         expected_flag = (m == 1)
@@ -630,7 +627,7 @@ def density_suites(cfg: RunConfig) -> List[SuiteReport]:
                             if 1 <= k + m <= 2]:
             if depth > cfg.depth_max:
                 continue
-            rep = gauss.power_expansion_report((), k, m, depth)
+            rep = gauss.power_expansion_report(k, m, depth)
             r.case(rep.passed, k=k, m=m, depth=depth,
                    identity=rep.identity_holds, remainder=rep.remainder_matches)
 
@@ -834,9 +831,7 @@ def _moment_polys() -> List[gauss.GaussPoly]:
 
 def _moment_targets() -> List[Tuple[gauss.GaussPoly, complex]]:
     """The sampling polynomials with their exact means."""
-    return [(p, complex(scalars.to_complex(
-        gauss.moment(gauss.refine(p, max(2, p.max_word_length()))))))
-        for p in _moment_polys()]
+    return [(p, complex(scalars.to_complex(gauss.moment(p)))) for p in _moment_polys()]
 
 
 def _tree_residuals(leaves: np.ndarray, depth: int) -> np.ndarray:

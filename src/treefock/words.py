@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import scalars
 from .errors import CapExceeded
-from .scalars import EXACT, FLOAT, Scalar
+from .scalars import EXACT, Scalar
 
 Word = Tuple[int, ...]
 
@@ -288,28 +288,31 @@ def enumerate_admissible(level: int, degree: int) -> Iterator[AdmissibleWord]:
 
 @dataclass(frozen=True)
 class TorusStep:
-    """A unit scalar for each word of a fixed length.
+    """A unit scalar for each word of a fixed length: ``TorusStep(values)``.
 
-    ``values`` is indexed by the lexicographic rank of the word.  Exact steps
-    hold exact values (plain ints in the identity, ExactComplex otherwise)
-    with squared modulus exactly one; float steps hold complex values within
-    1e-12 of the unit circle.
+    ``values`` is indexed by the lexicographic rank of the word, so its
+    length is a power of two and ``level`` is that power.  The values are
+    either all exact (plain ints in the identity, ExactComplex otherwise)
+    with squared modulus exactly one, or all float (complex values within
+    1e-12 of the unit circle); ``backend`` says which.
     """
 
-    level: int
     values: Tuple[Scalar, ...]
-    backend: str = field(default=EXACT)
+    level: int = field(init=False)
+    backend: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.values) != 2 ** self.level:
-            raise ValueError("need one value per word of the step's length")
-        if self.backend not in scalars.BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        level = (len(self.values) - 1).bit_length()
+        if 2 ** level != len(self.values):
+            raise ValueError("number of values must be a power of two")
+        backend = scalars.backend_of_values(self.values)
         for v in self.values:
-            if self.backend == EXACT and isinstance(v, (float, complex)):
-                raise ValueError("exact step built from float values")
-            if not scalars.is_unit_modulus(v, self.backend):
+            if scalars.backend_of(v) != backend:
+                raise ValueError("step mixes exact and float values")
+            if not scalars.is_unit_modulus(v, backend):
                 raise ValueError(f"step value {v} is not of unit modulus")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "backend", backend)
 
     def value_at(self, w: Word) -> Scalar:
         """The step's value on the cell of ``w``; ``w`` may be longer."""
@@ -336,60 +339,31 @@ class TorusStep:
             raise ValueError("pointwise product needs equal lengths")
         if other.backend != self.backend:
             raise TypeError("cannot mix exact and float steps")
-        return TorusStep(self.level,
-                         tuple(a * b for a, b in zip(self.values, other.values)),
-                         self.backend)
+        return TorusStep(tuple(a * b for a, b in zip(self.values, other.values)))
 
     def inverse(self) -> "TorusStep":
-        return TorusStep(self.level, tuple(scalars.conj(v) for v in self.values),
-                         self.backend)
+        return TorusStep(tuple(scalars.conj(v) for v in self.values))
 
     @classmethod
     def identity(cls, level: int, backend: str = EXACT) -> "TorusStep":
-        return cls(level, tuple(scalars.one(backend) for _ in range(2 ** level)),
-                   backend)
+        return cls((scalars.one(backend),) * 2 ** level)
 
     @classmethod
-    def from_eighth_root_indices(cls, indices: Sequence[int],
-                                 backend: str = EXACT) -> "TorusStep":
-        level = (len(indices) - 1).bit_length() if len(indices) > 1 else 0
-        if 2 ** level != len(indices):
-            raise ValueError("number of values must be a power of two")
-        return cls(level, tuple(scalars.eighth_root(k, backend) for k in indices),
-                   backend)
+    def from_eighth_root_indices(cls, indices: Sequence[int]) -> "TorusStep":
+        """An exact step with values exp(i*pi*k/4), k running over ``indices``."""
+        return cls(tuple(map(scalars.eighth_root, indices)))
 
     @classmethod
-    def random_eighth_roots(cls, level: int, rng: random.Random,
-                            backend: str = EXACT) -> "TorusStep":
+    def random_eighth_roots(cls, level: int, rng: random.Random) -> "TorusStep":
         return cls.from_eighth_root_indices(
-            [rng.randrange(8) for _ in range(2 ** level)], backend)
+            [rng.randrange(8) for _ in range(2 ** level)])
 
     @classmethod
-    def from_angles(cls, angles: Sequence[float], backend: str = FLOAT) -> "TorusStep":
-        """A step with values exp(i*theta).
-
-        The exact backend accepts only multiples of pi/4 (the 8th roots of
-        unity); anything else cannot be represented in Q(sqrt2, i) and is
-        rejected with a clear error.
-        """
-        level = (len(angles) - 1).bit_length() if len(angles) > 1 else 0
-        if 2 ** level != len(angles):
-            raise ValueError("number of values must be a power of two")
-        if backend == EXACT:
-            indices = []
-            for theta in angles:
-                k = theta / (math.pi / 4.0)
-                if abs(k - round(k)) > 1e-12:
-                    raise ValueError(
-                        "exact backend supports only eighth-root phases "
-                        "(angle must be a multiple of pi/4); "
-                        "use the float backend for arbitrary angles")
-                indices.append(round(k))
-            return cls.from_eighth_root_indices(indices, EXACT)
-        return cls(level, tuple(scalars.phase(t) for t in angles), FLOAT)
+    def from_angles(cls, angles: Sequence[float]) -> "TorusStep":
+        """A float step with values exp(i*theta), theta running over ``angles``."""
+        return cls(tuple(map(scalars.phase, angles)))
 
     @classmethod
     def random_phases(cls, level: int, rng: random.Random) -> "TorusStep":
         return cls.from_angles([rng.uniform(0.0, 2.0 * math.pi)
-                                for _ in range(2 ** level)], FLOAT)
-
+                                for _ in range(2 ** level)])

@@ -177,7 +177,7 @@ def test_criterion_6_density_rates_and_centering_flag():
                 if not 1 <= k + m <= 4:
                     continue
                 cases += 1
-                rate = gauss.remainder_rate((), k, m, depth)
+                rate = gauss.remainder_rate(k, m, depth)
                 ok = ok and rate.matches_closed_form
                 if k != m:
                     ok = ok and rate.centering == 0

@@ -84,6 +84,13 @@ def test_usage_error_exit_code(capsys):
     assert "level-max" in err
 
 
+def test_depth_max_below_two_is_a_usage_error(capsys):
+    # the depth-2 sampling targets need a sampled depth of at least 2
+    code, _, err = run_cli(["simulate", "--depth-max", "1"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "depth-max must be in 2..16" in err
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -41,11 +41,12 @@ def test_moment_rule_frozen():
     assert gauss.moment((z(w) * z(u)) * (z(w) * z(u)).conj()) == 1
 
 
-def test_moment_requires_single_level():
+def test_moment_refines_mixed_levels():
+    # E[z_0 conj(z_00)] = 1/sqrt2: moment is <p, 1>, which refines first
     p = z(make_word("0")) * z(make_word("00")).conj()
-    with pytest.raises(ValueError):
-        gauss.moment(p)
-    assert gauss.moment(gauss.refine(p, 2)) == QSqrt2(0, Fraction(1, 2))
+    assert gauss.moment(p) == gauss.moment(gauss.refine(p, 2))
+    assert gauss.moment(p) == scalars.sqrt2_pow(-1) == QSqrt2(0, Fraction(1, 2))
+    assert gauss.moment(p) == gauss.inner(p, GaussPoly.constant(1))
 
 
 def test_refine_single_variable():
@@ -138,22 +139,22 @@ def test_pairing_oracle_rejects_mixed_levels():
 
 def test_remainder_rates_frozen():
     # k != m: ||r||^2 = (k+m)! 2^(-depth(k+m-1))
-    r10 = gauss.remainder_rate((), 1, 0, 1)
+    r10 = gauss.remainder_rate(1, 0, 1)
     assert r10.centering == 0 and r10.norm2_centered == 1
-    r20 = gauss.remainder_rate((), 2, 0, 1)
+    r20 = gauss.remainder_rate(2, 0, 1)
     assert r20.norm2_centered == Fraction(1)  # 2/2
-    r21 = gauss.remainder_rate((), 2, 1, 2)
+    r21 = gauss.remainder_rate(2, 1, 2)
     assert r21.norm2_centered == Fraction(6, 16)
     # k == m: centering is the exact mean m! 2^(-depth(m-1))
-    r11 = gauss.remainder_rate((), 1, 1, 1)
+    r11 = gauss.remainder_rate(1, 1, 1)
     assert r11.centering == 1
     assert r11.norm2_centered == Fraction(1, 2)
     assert r11.centering_matches_sqrt_factorial is True
-    r22 = gauss.remainder_rate((), 2, 2, 1)
+    r22 = gauss.remainder_rate(2, 2, 1)
     assert r22.centering == 1  # 2!/2
     assert r22.norm2_centered == Fraction(20, 8)
     assert r22.centering_matches_sqrt_factorial is False
-    r22d = gauss.remainder_rate((), 2, 2, 2)
+    r22d = gauss.remainder_rate(2, 2, 2)
     assert r22d.centering == Fraction(1, 2)
     assert r22d.norm2_centered == Fraction(20, 64)
     for r in (r10, r20, r21, r11, r22, r22d):
@@ -162,7 +163,7 @@ def test_remainder_rates_frozen():
 
 def test_expansion_identity():
     for k, m in ((1, 0), (2, 0), (1, 1), (2, 1), (2, 2)):
-        rep = gauss.power_expansion_report((), k, m, 1)
+        rep = gauss.power_expansion_report(k, m, 1)
         assert rep.passed
         assert rep.constant_index_terms == 2
         assert rep.nonconstant_index_terms == 2 ** (k + m) - 2

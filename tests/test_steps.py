@@ -25,6 +25,14 @@ def test_grid_cell_basics():
         GridCell(2, ((0,),), ())
 
 
+def test_grid_cell_rejects_non_binary_coordinates():
+    for left, right in ((((2,),), ()), (((0,),), ((-1,),)), (((0, 3),), ())):
+        depth = len(left[0])
+        with pytest.raises(ValueError):
+            GridCell(depth, left, right)
+    assert GridCell(1, ((1,),), ((0,),)).degrees == (1, 1)
+
+
 def test_support_frozen_examples():
     w = W("0 0 1*")
     cells = steps.support_cells(w)

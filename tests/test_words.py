@@ -1,6 +1,5 @@
 """Marked words, admissible multisets, enumeration counts, torus steps."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -162,15 +161,21 @@ def test_torus_step_exact_values():
 
 
 def test_torus_step_validation():
+    # a step is its values: the level and the backend are read off them
+    g = TorusStep((scalars.EIGHTH_ROOTS[1], 1))
+    assert (g.level, g.backend) == (1, scalars.EXACT)
+    assert g == TorusStep.from_eighth_root_indices([1, 0])
+    assert TorusStep((complex(1),)).level == 0
+    assert TorusStep.from_angles([0.5, 2.0]).backend == scalars.FLOAT
     with pytest.raises(ValueError):
-        TorusStep(1, (scalars.ExactComplex(2),) * 2, scalars.EXACT)
+        TorusStep((1, complex(1)))  # exact and float values mixed
+    for values in ((1, 1, 1), ()):  # not a power of two
+        with pytest.raises(ValueError):
+            TorusStep(values)
     with pytest.raises(ValueError):
-        TorusStep(1, (complex(1), complex(1)), scalars.EXACT)
+        TorusStep((scalars.ExactComplex(2),) * 2)
     with pytest.raises(ValueError):
-        TorusStep.from_angles([0.1], backend=scalars.EXACT)
-    g = TorusStep.from_angles([math.pi / 4, math.pi], backend=scalars.EXACT)
-    assert g.value_at((0,)) == scalars.EIGHTH_ROOTS[1]
-    assert g.value_at((1,)) == scalars.EIGHTH_ROOTS[4]
+        TorusStep((complex(2), complex(1)))
 
 
 def test_torus_step_float_backend():
