@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=defaults.samples, metavar="S",
                         help="Monte Carlo sample count (default %(default)s)")
     common.add_argument("--seed", type=int, default=defaults.seed, metavar="SEED",
-                        help="seed for every randomized choice (default %(default)s)")
+                        help="seed for every random choice, 0..2**128-2 "
+                             "(default %(default)s)")
     common.add_argument("--backend", choices=("exact", "float"),
                         default=defaults.backend,
                         help="exact eighth-root phases or float angles")

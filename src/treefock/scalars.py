@@ -8,10 +8,12 @@ for ``(a + b*sqrt2 + (c + d*sqrt2)*i) / den``: one common denominator over
 integer coordinates, the form number-field libraries such as FLINT's
 ``nf_elem`` use.  Every instance is kept in normal form, ``den > 0`` and
 ``gcd(a, b, c, d, den) == 1``, so equal values have equal fields and
-equality and hashing compare ints.  Ring operations, conjugation, inversion
-and squared modulus are all exact.  `QSqrt2(a, b)` builds the real element
-a + b*sqrt2 from rational a, b; `QSqrt2` is the subclass of `ExactComplex`
-for the real subfield, ``c == d == 0``.
+equality and hashing compare ints.  Ring operations, conjugation and
+squared modulus are all exact.  There is no division: the only inverses
+the verifier takes are of phases on the unit circle, which are their
+conjugates, so powers take nonnegative exponents only.  `QSqrt2(a, b)`
+builds the real element a + b*sqrt2 from rational a, b; `QSqrt2` is the
+subclass of `ExactComplex` for the real subfield, ``c == d == 0``.
 
 The float backend uses the builtin ``complex``; the module-level helpers
 `one`, `sqrt2_pow` and `inv_sqrt2_pow` dispatch on a backend name, while
@@ -20,8 +22,8 @@ are deliberately not inter-operable: an `ExactComplex` mixed with a
 ``float`` or ``complex`` raises TypeError instead of silently degrading
 precision.  Plain ``int`` and ``Fraction`` values coerce into
 either backend, which lets vectors keep rational coefficients in their
-cheapest form until an irrational scalar actually enters; `one` and `zero`
-return plain ints on the exact backend for that reason.  A rational counts
+cheapest form until an irrational scalar actually enters; `one` returns a
+plain int on the exact backend for that reason.  A rational counts
 as exact (`backend_of`), so the layers that combine two operands of stated
 backends, such as ``fock.act`` and ``fock.inner``, check that they match.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -99,18 +101,6 @@ class ExactComplex:
         ia, ib, inn = _real_fields(im)
         x = _reduced(ra * inn, rb * inn, ia * rn, ib * rn, rn * inn)
         self.a, self.b, self.c, self.d, self.den = x.a, x.b, x.c, x.d, x.den
-
-    @classmethod
-    def zero(cls) -> "ExactComplex":
-        return _make(0, 0, 0, 0, 1)
-
-    @classmethod
-    def one(cls) -> "ExactComplex":
-        return _make(1, 0, 0, 0, 1)
-
-    @classmethod
-    def i(cls) -> "ExactComplex":
-        return _make(0, 0, 1, 0, 1)
 
     def __add__(self, other: object) -> "ExactComplex":
         n1 = self.den
@@ -197,47 +187,9 @@ class ExactComplex:
         p, q = self._abs2_fields()
         return _reduced(p, q, 0, 0, self.den * self.den)
 
-    def inverse(self) -> "ExactComplex":
-        # 1/x = den * conj(x') / |x'|^2 for the numerator x' = den * x, and
-        # 1/(p + q*sqrt2) = (p - q*sqrt2)/(p^2 - 2 q^2).  p^2 - 2q^2 is
-        # |x'|^2 = p + q*sqrt2 times its Galois conjugate
-        # p - q*sqrt2 = (a - b*sqrt2)^2 + (c - d*sqrt2)^2, so it is positive
-        # unless x is zero.
-        if not self:
-            raise ZeroDivisionError("division by zero in ExactComplex")
-        a, b, c, d, den = self.a, self.b, self.c, self.d, self.den
-        p, q = self._abs2_fields()
-        return _reduced(den * (a * p - 2 * b * q), den * (b * p - a * q),
-                        den * (2 * d * q - c * p), den * (c * q - d * p),
-                        p * p - 2 * q * q)
-
-    @staticmethod
-    def _coerce(value: object) -> Optional["ExactComplex"]:
-        if isinstance(value, ExactComplex):
-            return value
-        if isinstance(value, int):
-            return _make(value, 0, 0, 0, 1)
-        if isinstance(value, Fraction):
-            return _make(value.numerator, 0, 0, 0, value.denominator)
-        return None
-
-    def __truediv__(self, other: object) -> "ExactComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "ExactComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, exponent: int) -> "ExactComplex":
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
         result = None
         base = self
         n = exponent
@@ -313,7 +265,7 @@ class QSqrt2(ExactComplex):
     """A real element a + b*sqrt2 of Q(sqrt2), for rational a and b.
 
     The real subfield of `ExactComplex`: its instances have ``c == d == 0``.
-    Sums, differences, products, quotients and powers whose operands are all
+    Sums, differences, products and powers whose operands are all
     QSqrt2, int or Fraction values are QSqrt2 again, so ``isinstance(x,
     QSqrt2)`` marks values built in the real subfield.  An operation with any
     other ExactComplex operand returns a plain ExactComplex, and the
@@ -346,7 +298,7 @@ def _real_closed(op):
 
 _REAL = (QSqrt2, int, Fraction)
 for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-              "__truediv__", "__rtruediv__", "__pow__", "__neg__", "inverse", "abs2"):
+              "__pow__", "__neg__", "abs2"):
     setattr(QSqrt2, _name, _real_closed(getattr(ExactComplex, _name)))
 
 
@@ -420,27 +372,3 @@ def is_unit_modulus(x: Scalar, backend: str) -> bool:
     if backend == EXACT:
         return abs2(x) == 1
     return abs(abs(complex(x)) - 1.0) <= 1e-12
-
-
-def sqrt_in_tower(q: Fraction) -> Optional[ExactComplex]:
-    """The exact square root of a nonnegative rational, if it lies in Q(sqrt2).
-
-    sqrt(q) is either rational or a rational multiple of sqrt2 exactly when
-    the odd part of numerator*denominator is a perfect square; otherwise the
-    root falls outside the tower and None is returned.
-    """
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    if q == 0:
-        return _make(0, 0, 0, 0, 1)
-    t = q.numerator * q.denominator
-    twos = (t & -t).bit_length() - 1
-    odd = t >> twos
-    root = math.isqrt(odd)
-    if root * root != odd:
-        return None
-    num = root << (twos // 2)
-    if twos % 2 == 0:
-        return _reduced(num, 0, 0, 0, q.denominator)
-    return _reduced(0, num, 0, 0, q.denominator)
-

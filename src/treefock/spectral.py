@@ -112,11 +112,6 @@ class IndexFunction:
             raise ValueError("scale factor must be nonzero")
         return IndexFunction.of({m * k: c for k, c in self.items})
 
-    def __rmul__(self, m: int) -> "IndexFunction":
-        if not isinstance(m, int):
-            return NotImplemented
-        return self.scaled(m)
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{k}:{c}" for k, c in self.items) + "}"
 
@@ -358,15 +353,12 @@ class ConstraintReport:
     """Outcome of one convolution-constraint check.
 
     ``holds_per_depth`` records support containment of the left side in the
-    right side at each depth 1..depth; ``holds`` is their conjunction.  The
-    containment reading of absolute continuity is the only one falsifiable
-    from cylinder weights; for the uniform-or-zero measures compared here the
-    two coincide.
+    right side at each depth from 1 to the requested one; ``holds`` is their
+    conjunction.  The containment reading of absolute continuity is the only
+    one falsifiable from cylinder weights; for the uniform-or-zero measures
+    compared here the two coincide.
     """
 
-    coefficients: Tuple[int, ...]
-    indices: Tuple[IndexFunction, ...]
-    depth: int
     lhs_zero: bool
     holds_per_depth: List[bool] = field(default_factory=list)
 
@@ -378,16 +370,18 @@ class ConstraintReport:
 def check_constraint(coefficients: Sequence[int],
                      indices: Sequence[IndexFunction],
                      depth: int = 2) -> ConstraintReport:
-    """Compare the relabeled tensor product against the combined spectral form."""
+    """Compare the relabeled tensor product against the combined spectral form
+    at every depth from 1 to ``depth``."""
     if len(coefficients) != len(indices) or not indices:
         raise ValueError("need matching nonempty coefficient and index lists")
     if any(m == 0 for m in coefficients):
         raise ValueError("coefficients must be nonzero")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     combined = indices[0].scaled(coefficients[0])
     for m, x in zip(coefficients[1:], indices[1:]):
         combined = combined + x.scaled(m)
-    report = ConstraintReport(tuple(coefficients), tuple(indices), depth,
-                              lhs_zero=True)
+    report = ConstraintReport(lhs_zero=True)
     for d in range(1, depth + 1):
         lhs = spectral_form(indices[0], 1, d).relabel(coefficients[0])
         for m, x in zip(coefficients[1:], indices[1:]):
@@ -409,8 +403,6 @@ class CompatibilityReport:
     many cylinder weights, so it is not reported.
     """
 
-    index: IndexFunction
-    depths: Tuple[int, ...]
     coherent: bool
     good_invariant: bool
     diagonal_masses: Dict[Tuple[Slot, Slot], List[Fraction]]
@@ -422,21 +414,20 @@ class CompatibilityReport:
 
 
 def compatibility_report(family: Sequence[DepthMeasure]) -> CompatibilityReport:
+    """The three conditions on one measure per depth, at consecutive depths."""
     if not family:
         raise ValueError("need at least one depth")
-    index = family[0].index
-    depths = tuple(mu.depth for mu in family)
-    if any(mu.index != index for mu in family):
+    if any(mu.index != family[0].index for mu in family):
         raise ValueError("family with mixed index functions")
-    if list(depths) != sorted(depths) or len(set(depths)) != len(depths):
-        raise ValueError("family must be listed at strictly increasing depths")
+    if any(deeper.depth != shallower.depth + 1
+           for shallower, deeper in zip(family, family[1:])):
+        raise ValueError("family must be listed at consecutive depths")
     coherent = all(deeper.coarsened() == shallower
-                   for shallower, deeper in zip(family, family[1:])
-                   if deeper.depth == shallower.depth + 1)
+                   for shallower, deeper in zip(family, family[1:]))
     good = all(mu.is_good_invariant() for mu in family)
     diag: Dict[Tuple[Slot, Slot], List[Fraction]] = {}
     for mu in family:
         for pair, mass in mu.diagonal_masses().items():
             diag.setdefault(pair, []).append(mass)
     noninc = all(all(a >= b for a, b in zip(seq, seq[1:])) for seq in diag.values())
-    return CompatibilityReport(index, depths, coherent, good, diag, noninc)
+    return CompatibilityReport(coherent, good, diag, noninc)

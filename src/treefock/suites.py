@@ -41,6 +41,10 @@ from .words import (AdmissibleWord, Symbol, TorusStep, all_words,
 
 FLOAT_TOL = 1e-9
 
+# Philox takes keys below 2**128, and the simulate suite also keys a stream
+# by seed + 1.
+SEED_MAX = 2 ** 128 - 2
+
 
 @dataclass
 class RunConfig:
@@ -63,6 +67,8 @@ class RunConfig:
             raise ValueError("depth-max must be in 2..16")
         if self.samples < 1:
             raise ValueError("samples must be positive")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ValueError(f"seed must be in 0..{SEED_MAX}")
         if self.backend not in scalars.BACKENDS:
             raise ValueError(f"backend must be one of {sorted(scalars.BACKENDS)}")
         if self.fmt not in ("text", "json", "csv"):
@@ -435,9 +441,8 @@ def step_suites(cfg: RunConfig) -> List[SuiteReport]:
                             continue
                         cells.append(GridCell(level, left, right))
                 for c1, c2 in itertools.combinations(cells, 2):
-                    w = AdmissibleWord.of(
-                        [Symbol(t, False) for t in c1.left]
-                        + [Symbol(t, True) for t in c1.right])
+                    w = AdmissibleWord([Symbol(t, False) for t in c1.left]
+                                       + [Symbol(t, True) for t in c1.right])
                     support = set(steps.support_cells(w))
                     r.case(c1 in support and c2 not in support,
                            first=c1, second=c2, word=w)
@@ -786,10 +791,13 @@ def spectral_suites(cfg: RunConfig) -> List[SuiteReport]:
             r.case(rep.passed and rep.coherent and rep.good_invariant and strict,
                    index=x, diagonals={str(k): [str(f) for f in v]
                                        for k, v in rep.diagonal_masses.items()})
+        # coherent across depths, but not symmetric under swapping the slots
         x = index_pq(2, 0)
-        lopsided = DepthMeasure(x, 1, {(make_word("0"), make_word("1")): Fraction(1)})
-        rep = spectral.compatibility_report([lopsided])
-        r.case(not rep.passed and not rep.good_invariant, control="lopsided")
+        lopsided = [DepthMeasure(x, d, {(make_word(u), make_word(v)): Fraction(1)})
+                    for d, u, v in ((1, "0", "1"), (2, "01", "11"))]
+        rep = spectral.compatibility_report(lopsided)
+        r.case(rep.coherent and not rep.good_invariant and not rep.passed,
+               control="lopsided")
     return checks.reports
 
 

@@ -92,8 +92,9 @@ def _word_code(word: Word) -> int:
 
 
 class Symbol(int):
-    """A word with an optional conjugation mark, held as one int code that
-    compares, hashes and sorts in the order of ``sort_key``."""
+    """A word with an optional conjugation mark, held as one int code whose
+    int order is the canonical symbol order: unmarked before marked, then by
+    level, then lexicographic by word."""
 
     __slots__ = ()
 
@@ -124,9 +125,6 @@ class Symbol(int):
         if self.level + 1 > MAX_WORD_LENGTH:
             raise CapExceeded(f"word longer than {MAX_WORD_LENGTH}")
         return _symbol(self + (self & WORD_PART) + bit)
-
-    def sort_key(self) -> Tuple[bool, int, Word]:
-        return (self.barred, self.level, self.word)
 
     @classmethod
     def parse(cls, text: str) -> "Symbol":
@@ -195,10 +193,6 @@ class AdmissibleWord:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("admissible words are immutable")
-
-    @classmethod
-    def of(cls, symbols: Iterable[Symbol]) -> "AdmissibleWord":
-        return cls(symbols)
 
     @classmethod
     def parse(cls, text: str) -> "AdmissibleWord":

@@ -3,9 +3,8 @@
 Before the integer form in ``treefock.scalars``, Q(sqrt2, i) was built from
 ``fractions.Fraction`` components: `QSqrt2` holds a + b*sqrt2 and
 `ExactComplex` holds two of them as real and imaginary parts.  The classes
-below are that implementation, unchanged, together with the
-`sqrt_in_tower` that went with them.  Tests check the integer form against
-them operation by operation.
+below are that implementation, unchanged.  Tests check the integer form
+against them operation by operation.
 """
 
 from __future__ import annotations
@@ -275,27 +274,3 @@ class ExactComplex:
         if not self.re:
             return f"({self.im})*i"
         return f"({self.re}) + ({self.im})*i"
-
-
-def sqrt_in_tower(q: Fraction) -> Optional[QSqrt2]:
-    """The exact square root of a nonnegative rational, if it lies in Q(sqrt2).
-
-    sqrt(q) is either rational or a rational multiple of sqrt2 exactly when
-    the odd part of numerator*denominator is a perfect square; otherwise the
-    root falls outside the tower and None is returned.
-    """
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    if q == 0:
-        return QSqrt2(0)
-    t = q.numerator * q.denominator
-    twos = (t & -t).bit_length() - 1
-    odd = t >> twos
-    root = math.isqrt(odd)
-    if root * root != odd:
-        return None
-    scaled = Fraction(root << (twos // 2), q.denominator)
-    if twos % 2 == 0:
-        return QSqrt2(scaled)
-    return QSqrt2(0, scaled)
-

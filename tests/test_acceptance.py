@@ -46,8 +46,8 @@ def test_criterion_1_norm_products_and_splits():
             total = fock.FockVector(level + 1, {})
             for bits in itertools.product((0, 1), repeat=w.degree):
                 splits += 1
-                child = AdmissibleWord.of(s.append(b)
-                                          for s, b in zip(w.entries, bits))
+                child = AdmissibleWord(s.append(b)
+                                       for s, b in zip(w.entries, bits))
                 counts = {}
                 for s, b in zip(w.entries, bits):
                     counts[(s, b)] = counts.get((s, b), 0) + 1

@@ -91,6 +91,20 @@ def test_depth_max_below_two_is_a_usage_error(capsys):
     assert "depth-max must be in 2..16" in err
 
 
+def test_seed_out_of_range_is_a_usage_error(capsys):
+    # Philox keys must lie in 0..2**128-1, and simulate also keys by seed + 1
+    for seed in (-1, 2 ** 128 - 1):
+        code, _, err = run_cli(["simulate", "--seed", str(seed)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "seed must be in 0.." in err
+
+
+def test_largest_seed_runs_the_sampling_checks(capsys):
+    code, out, _ = run_cli(["simulate", "--seed", str(2 ** 128 - 2),
+                            "--samples", "2000", "--format", "csv"], capsys)
+    assert code == cli.EXIT_OK, out
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

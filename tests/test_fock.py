@@ -95,7 +95,7 @@ def test_split_norm_identity_frozen():
     w = W("0 0")
     total = fock.FockVector(2, {})
     for bits in itertools.product((0, 1), repeat=2):
-        child = AdmissibleWord.of(s.append(b) for s, b in zip(w.entries, bits))
+        child = AdmissibleWord(s.append(b) for s, b in zip(w.entries, bits))
         total = total + fock.basic(child)
     assert fock.norm2(total) == 8
 

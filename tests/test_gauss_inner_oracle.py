@@ -8,6 +8,8 @@ variables with a == b, whose charge is zero and must drop out of the
 matching.  Both must also be Hermitian: inner(p, q) == conj(inner(q, p)).
 """
 
+from fractions import Fraction
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -66,4 +68,4 @@ def test_zero_charge_words_drop_out_of_the_match():
     assert gauss.inner(abs2 * z(w1), z(w1)) == 1
     assert gauss.inner(abs2, abs2) == 2  # E|z|^4
     # z_e refines to (z_0 + z_1)/sqrt2, so E[z_e * conj(z_0)] = 1/sqrt2
-    assert gauss.inner(z(e), z(w0)) == QSqrt2(0, 1) / 2
+    assert gauss.inner(z(e), z(w0)) == QSqrt2(0, Fraction(1, 2))

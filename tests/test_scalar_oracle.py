@@ -57,11 +57,6 @@ def test_ring_operations_match_oracle(p, q):
     agree(x - y, ox - oy)
     agree(x * y, ox * oy)
     assert (x == y) == (ox == oy)
-    if oy:
-        agree(x / y, ox / oy)
-    else:
-        with pytest.raises(ZeroDivisionError):
-            x / y
 
 
 @settings(max_examples=150, deadline=None)
@@ -74,20 +69,12 @@ def test_mixed_rational_operations_match_oracle(p, r):
     agree(r - x, r - ox)
     agree(x * r, ox * r)
     agree(r * x, r * ox)
-    if r:
-        agree(x / r, ox / r)
-    if ox:
-        agree(r / x, r / ox)
 
 
 @settings(max_examples=150, deadline=None)
-@given(quads, st.integers(-4, 4))
+@given(quads, st.integers(0, 4))
 def test_powers_match_oracle(p, n):
     x, ox = build(p)
-    if n < 0 and not ox:
-        with pytest.raises(ZeroDivisionError):
-            x ** n
-        return
     agree(x ** n, ox ** n)
 
 
@@ -101,11 +88,6 @@ def test_unary_operations_match_oracle(p):
     agree(scalars.conj(x), ox.conjugate())
     agree(x.abs2(), ox.abs2())
     assert bool(x) == bool(ox)
-    if ox:
-        agree(x.inverse(), ox.inverse())
-    else:
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,18 +103,6 @@ def test_real_subfield_matches_oracle(a, b):
     else:
         with pytest.raises(ValueError):
             x.as_fraction()
-    if ox:
-        agree(x.inverse(), ox.inverse())
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.fractions(min_value=0, max_value=400, max_denominator=64))
-def test_sqrt_in_tower_matches_oracle(q):
-    root, expected = scalars.sqrt_in_tower(q), oracle.sqrt_in_tower(q)
-    if expected is None:
-        assert root is None
-    else:
-        agree(root, expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,13 +116,14 @@ def test_hash_and_eq_agree_with_rational_keys(r, p):
         assert x == q.numerator and hash(x) == hash(q.numerator)
     assert {q: "v"}[x] == "v"
     assert {x: "v"}[q] == "v"
-    # A value reached by a longer route lands on the same dict entry.
+    # A value reached by a longer route lands on the same dict entry:
+    # omega^3 * omega^5 == 1, and a unit root times its conjugate is 1.
+    roots = scalars.EIGHTH_ROOTS
+    z = x * roots[3] * roots[5]
+    assert z == q and hash(z) == hash(q)
+    assert {q: "v"}.get(z) == "v"
     y, _ = build(p)
-    if y:
-        z = x * y / y
-        assert z == q and hash(z) == hash(q)
-        assert {q: "v"}.get(z) == "v"
-    w = y * scalars.EIGHTH_ROOTS[3] / scalars.EIGHTH_ROOTS[3]
+    w = y * roots[3] * roots[3].conjugate()
     assert w == y and hash(w) == hash(y)
 
 
@@ -168,8 +139,6 @@ def test_real_subfield_keeps_its_type(a, b, r, p):
              (-x, -ox), (x ** 3, ox ** 3), (x * y, ox * oy), (y * x, oy * ox),
              (x + y, ox + oy), (y - x, oy - ox), (x - y, ox - oy),
              (x - QSqrt2(b, a), ox - oracle.QSqrt2(b, a))]
-    if ox:
-        pairs += [(x.inverse(), ox.inverse()), (r / x, r / ox), (x ** -2, ox ** -2)]
     for new, old in pairs:
         assert isinstance(new, QSqrt2) == isinstance(old, oracle.QSqrt2)
         agree(new, old)

@@ -62,7 +62,7 @@ def test_inner_applies_mass_and_shape_constant():
     g = StepSum(1, {a_cell: 2, b_cell: ExactComplex(1, 1)})
     acc = 3 * 2 + ExactComplex(0, 1) * ExactComplex(1, -1)
     # cell mass 1/2^3, shape constant 1/(2! 1!)
-    assert f.inner(g) == Fraction(1, 8) * acc / 2
+    assert f.inner(g) == Fraction(1, 16) * acc
     assert g.inner(f) == scalars.conj(f.inner(g))
 
 

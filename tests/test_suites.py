@@ -47,6 +47,11 @@ def test_config_validation():
         RunConfig(backend="decimal").validate()
     with pytest.raises(ValueError):
         RunConfig(fmt="yaml").validate()
+    RunConfig(seed=0).validate()
+    RunConfig(seed=suites.SEED_MAX).validate()
+    for seed in (-1, suites.SEED_MAX + 1):
+        with pytest.raises(ValueError):
+            RunConfig(seed=seed).validate()
 
 
 def test_tree_residual_reads_the_estimator_columns(monkeypatch):

@@ -81,7 +81,7 @@ def test_admissible_word_rejects_conjugate_pair():
     with pytest.raises(ValueError):
         AdmissibleWord.parse("0 01")  # mixed levels
     with pytest.raises(ValueError):
-        AdmissibleWord.of([])
+        AdmissibleWord([])
 
 
 def test_admissible_word_canonical_order():
@@ -128,7 +128,7 @@ def test_enumeration_counts_frozen():
 
 def test_enumeration_is_sorted_and_admissible():
     words = list(enumerate_admissible(2, 3))
-    keys = [tuple(s.sort_key() for s in w.entries) for w in words]
+    keys = [tuple((s.barred, s.level, s.word) for s in w.entries) for w in words]
     assert keys == sorted(keys)
     for w in words:
         unmarked = {s.word for s in w.entries if not s.barred}
