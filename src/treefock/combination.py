@@ -13,8 +13,9 @@ A subclass keeps its frame, what all of its keys share, in its own
 the depth of a step sum, nothing for a polynomial.
 Sums and inner products need one frame and raise ValueError otherwise.
 Exact and float scalars do not mix: a float scalar times an exact
-combination, an inner product of an exact and a float combination, and a
-step of one backend acting on a combination of the other raise TypeError.
+combination, a sum or an inner product of an exact and a float combination,
+and a step of one backend acting on a combination of the other raise
+TypeError.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class Combination:
 
     def _check_backend(self, other: "Combination") -> None:
         if self.terms and other.terms and self.backend() != other.backend():
-            raise TypeError("inner product of an exact and a float combination")
+            raise TypeError(f"cannot combine {self.backend()} and "
+                            f"{other.backend()} combinations")
 
     def __add__(self: C, other: C) -> C:
         if type(other) is not type(self):
@@ -73,6 +75,7 @@ class Combination:
         if other._frame() != self._frame():
             raise ValueError(f"cannot add combinations in the frames "
                              f"{self._frame()} and {other._frame()}")
+        self._check_backend(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c

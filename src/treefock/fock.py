@@ -28,7 +28,7 @@ from . import scalars
 from .combination import Combination
 from .errors import CapExceeded
 from .scalars import EXACT, Scalar
-from .words import MAX_WORD_LENGTH, WORD_PART, AdmissibleWord, TorusStep
+from .words import MAX_WORD_LENGTH, AdmissibleWord, TorusStep, child
 
 # Degree bound enforced at construction; desk-scale checks stay below it.
 MAX_DEGREE = 5
@@ -90,17 +90,17 @@ def embed(v: FockVector) -> FockVector:
     backend = v.backend()
     out: Dict[Tuple[int, ...], Scalar] = {}
     for word, coeff in v.terms.items():
-        mults = {c: word.codes.count(c) for c in word.codes}
+        # (multiplicity, children) per distinct letter; children keep its order
+        letters = [(word.codes.count(c), child(c, 0), child(c, 1))
+                   for c in dict.fromkeys(word.codes)]
         scale = coeff * scalars.inv_sqrt2_pow(word.degree, backend)
-        for split in itertools.product(*(range(m + 1) for m in mults.values())):
+        for split in itertools.product(*(range(m + 1) for m, _, _ in letters)):
             weight = 1
-            child: Tuple[int, ...] = ()
-            for (c, m), k in zip(mults.items(), split):
+            key: Tuple[int, ...] = ()
+            for (m, c0, c1), k in zip(letters, split):
                 weight *= math.comb(m, k)
-                # c's children c0 and c0 + 1 keep the parents' sorted order
-                c0 = c + (c & WORD_PART)
-                child += (c0,) * k + (c0 + 1,) * (m - k)
-            out[child] = out.get(child, 0) + weight * scale
+                key += (c0,) * k + (c1,) * (m - k)
+            out[key] = out.get(key, 0) + weight * scale
     # children of an admissible word are admissible and keep its degree
     return FockVector(v.level + 1, {})._like(
         {AdmissibleWord._trusted(key): c for key, c in out.items()})

@@ -51,7 +51,8 @@ from .combination import Combination
 from .errors import CapExceeded
 from .fock import FockVector
 from .scalars import Scalar
-from .words import MAX_WORD_LENGTH, TorusStep, Word, all_words, word_key
+from .words import (MAX_WORD_LENGTH, TorusStep, Word, all_words, descendants,
+                    make_word, word_length, word_text)
 
 # Bound on the number of monomials ``refine`` may produce.
 DEFAULT_MAX_TERMS = 200_000
@@ -64,13 +65,13 @@ Exps = Tuple[Tuple[Word, int, int], ...]
 
 @dataclass(frozen=True)
 class GaussMonomial:
-    """prod over words of z_w^a * conj(z_w)^b, stored sorted by word."""
+    """prod over words of z_w^a * conj(z_w)^b, stored sorted by word, so the
+    last word is the longest."""
 
     exps: Exps
 
     def __post_init__(self) -> None:
-        cleaned = tuple(sorted(((w, a, b) for w, a, b in self.exps if a or b),
-                               key=lambda e: word_key(e[0])))
+        cleaned = tuple(sorted(e for e in self.exps if e[1] or e[2]))
         for w, a, b in cleaned:
             if a < 0 or b < 0:
                 raise ValueError("negative exponent")
@@ -82,10 +83,6 @@ class GaussMonomial:
     @classmethod
     def of(cls, exponents: Mapping[Word, Tuple[int, int]]) -> "GaussMonomial":
         return cls(tuple((w, a, b) for w, (a, b) in exponents.items()))
-
-    @classmethod
-    def unit(cls) -> "GaussMonomial":
-        return cls(())
 
     @property
     def degree(self) -> int:
@@ -103,10 +100,7 @@ class GaussMonomial:
         return tuple(w for w, _, _ in self.exps)
 
     def max_word_length(self) -> int:
-        return max((len(w) for w, _, _ in self.exps), default=0)
-
-    def is_single_level(self) -> bool:
-        return len({len(w) for w, _, _ in self.exps}) <= 1
+        return word_length(self.exps[-1][0]) if self.exps else 0
 
     def conj(self) -> "GaussMonomial":
         return GaussMonomial(tuple((w, b, a) for w, a, b in self.exps))
@@ -125,7 +119,7 @@ class GaussMonomial:
             return "1"
         parts = []
         for w, a, b in self.exps:
-            name = "z_" + ("".join(map(str, w)) or "e")
+            name = "z_" + word_text(w)
             if a:
                 parts.append(name if a == 1 else f"{name}^{a}")
             if b:
@@ -144,7 +138,7 @@ class GaussPoly(Combination):
 
     @classmethod
     def constant(cls, c: Scalar) -> "GaussPoly":
-        return cls({GaussMonomial.unit(): c})
+        return cls({GaussMonomial(()): c})
 
     @classmethod
     def variable(cls, w: Word) -> "GaussPoly":
@@ -155,8 +149,7 @@ class GaussPoly(Combination):
         return max((m.max_word_length() for m in self.terms), default=0)
 
     def variables(self) -> Tuple[Word, ...]:
-        seen = {w for m in self.terms for w in m.words()}
-        return tuple(sorted(seen, key=word_key))
+        return tuple(sorted({w for m in self.terms for w in m.words()}))
 
     def degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
@@ -189,25 +182,25 @@ def _capped(p: GaussPoly) -> GaussPoly:
 
 def refine(p: GaussPoly, level: int) -> GaussPoly:
     """Rewrite ``p`` using only level-``level`` variables, by the module
-    docstring's substitution (z is z_w itself when len(w) == level); the
-    polynomial identity behind ``embed`` on the Fock side.
+    docstring's substitution (z is z_w itself when w has length ``level``);
+    the polynomial identity behind ``embed`` on the Fock side.
     """
     if level > MAX_WORD_LENGTH:
         raise CapExceeded(f"refinement beyond depth {MAX_WORD_LENGTH}")
-    lengths = {len(w) for m in p.terms for w in m.words()}
-    if max(lengths, default=0) > level:
+    if p.max_word_length() > level:
         raise ValueError("polynomial already uses variables deeper than the target")
-    if lengths <= {level}:
+    # each monomial's first word is its shortest
+    if all(word_length(m.exps[0][0]) == level for m in p.terms if m.exps):
         return p
     backend = p.backend()
     out = GaussPoly.zero()
     for mono, coeff in p.terms.items():
         acc = GaussPoly.constant(coeff)
         for w, a, b in mono.exps:
-            gap = level - len(w)
+            gap = level - word_length(w)
             scale = scalars.inv_sqrt2_pow(gap, backend) if gap else 1
-            z = GaussPoly({GaussMonomial.of({w + t: (1, 0)}): scale
-                           for t in all_words(gap)})
+            z = GaussPoly({GaussMonomial.of({t: (1, 0)}): scale
+                           for t in descendants(w, gap)})
             bar = z.conj() if b else z  # conjugated only when used
             for factor in [z] * a + [bar] * b:
                 acc = _capped(acc * factor)
@@ -286,7 +279,7 @@ def moment_by_pairings(mono: GaussMonomial) -> int:
     match each plain factor to a conjugated copy of the same variable.
     Only meaningful for a single variable level (independent family).
     """
-    if not mono.is_single_level():
+    if mono.exps and word_length(mono.exps[0][0]) != mono.max_word_length():
         raise ValueError("pairing oracle needs a single variable level")
     if mono.degree > PAIRING_DEGREE_CAP:
         raise CapExceeded(f"pairing oracle beyond degree {PAIRING_DEGREE_CAP}")
@@ -369,19 +362,13 @@ def power_expansion_report(k: int, m: int, depth: int) -> ExpansionReport:
     tuples = len(children) ** (k + m)
     if tuples > DEFAULT_MAX_TERMS:
         raise CapExceeded(f"{tuples} index tuples exceed the cap {DEFAULT_MAX_TERMS}")
-    lhs = refine(GaussPoly({GaussMonomial.of({(): (k, m)}): 1}), depth)
+    lhs = refine(GaussPoly({GaussMonomial.of({make_word(""): (k, m)}): 1}), depth)
     scale = scalars.sqrt2_pow(-depth * (k + m))
     rhs: Dict[GaussMonomial, Scalar] = {}
     diagonal: Dict[GaussMonomial, Scalar] = {}
     for choice in itertools.product(children, repeat=k + m):
-        exps: Dict[Word, Tuple[int, int]] = {}
-        for t in choice[:k]:
-            a, b = exps.get(t, (0, 0))
-            exps[t] = (a + 1, b)
-        for t in choice[k:]:
-            a, b = exps.get(t, (0, 0))
-            exps[t] = (a, b + 1)
-        mono = GaussMonomial.of(exps)
+        mono = GaussMonomial.of({t: (choice[:k].count(t), choice[k:].count(t))
+                                 for t in choice})
         rhs[mono] = rhs.get(mono, 0) + scale
         if len(set(choice)) == 1:
             diagonal[mono] = diagonal.get(mono, 0) + scale

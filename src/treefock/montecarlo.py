@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .gauss import GaussPoly
-from .words import TorusStep, Word, all_words, word_index
+from .words import TorusStep, Word, all_words, word_index, word_length
 
 MAX_SAMPLE_DEPTH = 16
 # samples drawn and evaluated together
@@ -81,7 +81,7 @@ def _variable_columns(leaves: np.ndarray, depth: int,
     above the leaves the normalized sum of the word's leaf block."""
     cols: Dict[Word, np.ndarray] = {}
     for w in variables:
-        gap = depth - len(w)
+        gap = depth - word_length(w)
         if gap < 0:
             raise ValueError("variable deeper than the sampled depth")
         lo = word_index(w) << gap
@@ -162,7 +162,7 @@ def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
     if depth < 0 or depth > MAX_SAMPLE_DEPTH:
         raise CapExceeded(f"sample depth outside 0..{MAX_SAMPLE_DEPTH}")
     variables = sorted({w for p in polys for w in p.variables()})
-    if any(len(w) > depth for w in variables):
+    if any(word_length(w) > depth for w in variables):
         raise ValueError("variable deeper than the sampled depth")
     phases = _leaf_phases(step, depth)
     if not polys:

@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import CapExceeded
 from .scalars import Scalar
-from .words import (MAX_WORD_LENGTH, TorusStep, Word, all_words, make_word,
-                    word_index)
+from .words import (MAX_WORD_LENGTH, TorusStep, Word, all_words, check_word,
+                    word_index, word_length)
 
 Slot = Tuple[int, int]
 Assignment = Tuple[Word, ...]
@@ -184,13 +184,13 @@ class DepthMeasure:
         for key, wt in weights.items():
             if len(key) != len(shape):
                 raise ValueError("assignment with the wrong number of slots")
-            if any(len(w) != depth for w in key):
+            if any(word_length(check_word(w)) != depth for w in key):
                 raise ValueError("assignment word at the wrong depth")
             wt = Fraction(wt)
             if wt < 0:
                 raise ValueError("weights must be nonnegative")
-            if wt:  # make_word refuses letters other than 0 and 1
-                cells[tuple(word_index(make_word(w)) for w in key)] = wt
+            if wt:
+                cells[tuple(map(word_index, key))] = wt
         den = math.lcm(*(wt.denominator for wt in cells.values()))
         _check_int64(sum(cells.values()) * den)
         counts = np.zeros(shape, dtype=np.int64)

@@ -31,12 +31,13 @@ from .combination import Combination
 from .errors import CapExceeded
 from .fock import FockVector
 from .scalars import Scalar
-from .words import MAX_WORD_LENGTH, AdmissibleWord, TorusStep, Word
+from .words import (MAX_WORD_LENGTH, AdmissibleWord, TorusStep, Word, check_word,
+                    child, word_length)
 
 
 @dataclass(frozen=True)
 class GridCell:
-    """One product cell: ordered depth-``depth`` coordinates in two blocks."""
+    """One product cell: ordered depth-``depth`` words in two blocks."""
 
     depth: int
     left: Tuple[Word, ...]
@@ -44,10 +45,8 @@ class GridCell:
 
     def __post_init__(self) -> None:
         for w in self.left + self.right:
-            if len(w) != self.depth:
+            if word_length(check_word(w)) != self.depth:
                 raise ValueError("cell coordinate at the wrong depth")
-            if any(b not in (0, 1) for b in w):
-                raise ValueError("cell coordinate bits must be 0 or 1")
 
     @classmethod
     def _trusted(cls, depth: int, left: Tuple[Word, ...],
@@ -76,12 +75,10 @@ class GridCell:
         """The 2^(p+q) cells of depth+1 refining this one."""
         if self.depth + 1 > MAX_WORD_LENGTH:
             raise CapExceeded(f"cell depth above {MAX_WORD_LENGTH}")
-        p, q = self.degrees
-        for bits in itertools.product((0, 1), repeat=p + q):
-            yield GridCell._trusted(
-                self.depth + 1,
-                tuple(w + (b,) for w, b in zip(self.left, bits[:p])),
-                tuple(w + (b,) for w, b in zip(self.right, bits[p:])))
+        p = len(self.left)
+        kids = [(child(w, 0), child(w, 1)) for w in self.left + self.right]
+        for coords in itertools.product(*kids):
+            yield GridCell._trusted(self.depth + 1, coords[:p], coords[p:])
 
 
 class StepSum(Combination):

@@ -36,7 +36,7 @@ from .errors import CapExceeded
 from .scalars import EXACT
 from .spectral import DepthMeasure, IndexFunction, index_pq
 from .steps import GridCell
-from .words import (AdmissibleWord, Symbol, TorusStep, all_words,
+from .words import (AdmissibleWord, Symbol, TorusStep, all_words, child,
                     enumerate_admissible, make_word)
 
 FLOAT_TOL = 1e-9
@@ -849,7 +849,7 @@ def _tree_residuals(leaves: np.ndarray, depth: int) -> np.ndarray:
     cols = montecarlo._variable_columns(leaves, depth, words)
     worst = np.zeros(len(leaves))
     for w in words[:2 ** depth - 1]:  # the interior words
-        avg = (cols[w + (0,)] + cols[w + (1,)]) * 2.0 ** -0.5
+        avg = (cols[child(w, 0)] + cols[child(w, 1)]) * 2.0 ** -0.5
         np.maximum(worst, np.abs(cols[w] - avg), out=worst)
     return worst
 

@@ -1,8 +1,10 @@
 """Binary words, conjugation-marked symbols, admissible multisets, torus steps.
 
-A word is a tuple of bits; the canonical order on words is first by length,
-then lexicographic.  A symbol is a word together with a conjugation mark, and
-an admissible word is a nonempty multiset of same-length symbols in which no
+A word is its node code in the binary tree: the root ``""`` is 1 and the
+children of ``w`` are ``2w`` and ``2w + 1``, so int order is the canonical
+order, length first, then lexicographic; only this module reads the bit
+layout.  A symbol is a word together with a conjugation mark, and an
+admissible word is a nonempty multiset of same-length symbols in which no
 word appears both marked and unmarked.  Admissible words index the basic
 product vectors of the Fock layer, and almost everything downstream is keyed
 by their canonical form, the sorted tuple of their integer symbol codes.
@@ -19,14 +21,14 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from . import scalars
 from .errors import CapExceeded
 from .scalars import EXACT, Scalar
 
-Word = Tuple[int, ...]
+Word = int
 
 # Hard bound on word length; every depth-increasing operation checks it.
 MAX_WORD_LENGTH = 32
@@ -34,61 +36,71 @@ MAX_WORD_LENGTH = 32
 # Default bound on the number of multisets an enumeration may touch.
 MAX_ENUMERATION = 2_000_000
 
+# A symbol code is its word's code, plus MARK when conjugated.  MARK sits
+# above every word code, so int order is the canonical symbol order:
+# unmarked first, then by length, then lexicographic.
+MARK = 1 << (MAX_WORD_LENGTH + 1)
+WORD_PART = MARK - 1
 
-def make_word(bits: Iterable[int] | str) -> Word:
-    """Build a word from an iterable of bits or a string like ``"011"``."""
-    if isinstance(bits, str):
-        bits = (int(ch) for ch in bits)
-    w = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in w):
+
+def make_word(text: str) -> Word:
+    """The word spelled by a string of bits such as ``"011"``; ``""`` is the root."""
+    if not isinstance(text, str):
+        raise TypeError(f"make_word takes a string, not {type(text).__name__}")
+    if text.strip("01"):
         raise ValueError("word bits must be 0 or 1")
-    if len(w) > MAX_WORD_LENGTH:
+    return check_word(int("1" + text, 2))
+
+
+def check_word(w: object) -> Word:
+    """``w`` itself if it is a word; a tuple of bits raises TypeError."""
+    if type(w) is not int:
+        raise TypeError(f"a word is an int code, not {type(w).__name__}")
+    if w < 1:
+        raise ValueError("word codes start at 1, the root")
+    if w > WORD_PART:
         raise CapExceeded(f"word longer than {MAX_WORD_LENGTH}")
     return w
 
 
-def word_text(w: Word) -> str:
-    return "".join(str(b) for b in w) if w else "e"
-
-
-def word_key(w: Word) -> Tuple[int, Word]:
-    """Sort key for the canonical order: length first, then lexicographic."""
-    return (len(w), w)
+def word_length(w: Word) -> int:
+    return w.bit_length() - 1
 
 
 def word_index(w: Word) -> int:
     """The rank of ``w`` among words of its own length, in lexicographic order."""
-    i = 0
-    for b in w:
-        i = (i << 1) | b
-    return i
+    return w - (1 << (w.bit_length() - 1))
 
 
-def all_words(length: int) -> List[Word]:
+def word_text(w: Word) -> str:
+    return bin(w)[3:] or "e"
+
+
+def child(code: int, bit: int) -> int:
+    """The word (or symbol code) with ``bit`` appended; a mark is kept."""
+    return code + (code & WORD_PART) + bit
+
+
+def descendants(w: Word, gap: int) -> range:
+    """The words ``gap`` levels below ``w``, lexicographically: one contiguous block."""
+    return range(w << gap, (w + 1) << gap)
+
+
+def prefix(w: Word, level: int) -> Word:
+    """The ancestor of ``w`` at length ``level``."""
+    gap = w.bit_length() - 1 - level
+    if gap < 0:
+        raise ValueError(f"word shorter than {level}")
+    return w >> gap
+
+
+def all_words(length: int) -> range:
     """All words of the given length, lexicographically."""
     if length < 0:
         raise ValueError("negative word length")
     if length > MAX_WORD_LENGTH:
         raise CapExceeded(f"word length above {MAX_WORD_LENGTH}")
-    return [tuple(bits) for bits in itertools.product((0, 1), repeat=length)]
-
-
-# A symbol code is the word's bits under a leading 1, plus MARK when
-# conjugated.  MARK sits above every word part, so int order is the canonical
-# order: unmarked first, then by length, then lexicographic.
-MARK = 1 << (MAX_WORD_LENGTH + 1)
-WORD_PART = MARK - 1
-
-
-# A symbol code's word, mark ignored, and a word's unmarked code, validated.
-@lru_cache(maxsize=1 << 12)
-def _code_word(code: int) -> Word:
-    return tuple(map(int, bin(code & WORD_PART)[3:]))
-
-
-@lru_cache(maxsize=1 << 12)
-def _word_code(word: Word) -> int:
-    return int("".join(map(str, (1,) + make_word(word))), 2)
+    return descendants(1, length)
 
 
 class Symbol(int):
@@ -99,12 +111,12 @@ class Symbol(int):
     __slots__ = ()
 
     def __new__(cls, word: Word, barred: bool = False) -> "Symbol":
-        code = _word_code(tuple(word))
+        code = check_word(word)
         return int.__new__(cls, code | MARK if barred else code)
 
     @property
     def word(self) -> Word:
-        return _code_word(self)
+        return self & WORD_PART
 
     @property
     def barred(self) -> bool:
@@ -124,7 +136,7 @@ class Symbol(int):
             raise ValueError("bit must be 0 or 1")
         if self.level + 1 > MAX_WORD_LENGTH:
             raise CapExceeded(f"word longer than {MAX_WORD_LENGTH}")
-        return _symbol(self + (self & WORD_PART) + bit)
+        return _symbol(child(self, bit))
 
     @classmethod
     def parse(cls, text: str) -> "Symbol":
@@ -132,13 +144,13 @@ class Symbol(int):
         ``"e"`` and ``"e*"`` are the empty word, as ``str`` prints it."""
         barred = text.endswith("*")
         body = text[:-1] if barred else text
-        return cls(() if body == "e" else make_word(body), barred)
+        return cls(make_word("" if body == "e" else body), barred)
 
     def __str__(self) -> str:
         return word_text(self.word) + ("*" if self.barred else "")
 
     def __repr__(self) -> str:
-        return f"Symbol(word={self.word}, barred={self.barred})"
+        return f"Symbol.parse({str(self)!r})"
 
     def __reduce__(self):
         return (Symbol, (self.word, self.barred))
@@ -172,7 +184,7 @@ class AdmissibleWord:
         if len(set(codes)) != len(set(map(WORD_PART.__and__, codes))):
             clash = min(c for c in codes if c ^ MARK in codes)
             raise ValueError(
-                f"word {word_text(_code_word(clash))} appears both marked and unmarked")
+                f"word {word_text(clash)} appears both marked and unmarked")
         return cls._trusted(codes)
 
     @classmethod
@@ -209,8 +221,8 @@ class AdmissibleWord:
     def charges(self) -> List[Tuple[Word, int]]:
         """(word, m) for an unmarked word and (word, -m) for a marked one,
         m its multiplicity."""
-        return [(s.word, -m if s.barred else m)
-                for s, m in self.symbol_multiplicities().items()]
+        return [(c & WORD_PART, -m if c >= MARK else m)
+                for c, m in self.symbol_multiplicities().items()]
 
     def gram_diagonal(self) -> int:
         """Product of the multiplicity factorials; the squared norm of the
@@ -218,10 +230,11 @@ class AdmissibleWord:
         return self._gram
 
     def unmarked_words(self) -> Tuple[Word, ...]:
-        return tuple(map(_code_word, self.codes[:self.degrees[0]]))
+        # an unmarked code is its word
+        return self.codes[:self.degrees[0]]
 
     def marked_words(self) -> Tuple[Word, ...]:
-        return tuple(map(_code_word, self.codes[self.degrees[0]:]))
+        return tuple(map(MARK.__xor__, self.codes[self.degrees[0]:]))
 
     def variants(self) -> List[Tuple[Tuple[Word, ...], Tuple[Word, ...]]]:
         """All distinct ordered arrangements (unmarked block, marked block)."""
@@ -257,8 +270,7 @@ class AdmissibleWord:
 
 def symbols_at(level: int) -> List[Symbol]:
     """All symbols of the given level, in canonical sort order."""
-    words = all_words(level)
-    return [Symbol(w, False) for w in words] + [Symbol(w, True) for w in words]
+    return [Symbol(w, barred) for barred in (False, True) for w in all_words(level)]
 
 
 def enumerate_admissible(level: int, degree: int) -> Iterator[AdmissibleWord]:
@@ -310,9 +322,7 @@ class TorusStep:
 
     def value_at(self, w: Word) -> Scalar:
         """The step's value on the cell of ``w``; ``w`` may be longer."""
-        if len(w) < self.level:
-            raise ValueError("word shorter than the step's length")
-        return self.values[word_index(w[: self.level])]
+        return self.values[word_index(prefix(w, self.level))]
 
     def character(self, charges: Iterable[Tuple[Word, int]]) -> Scalar:
         """prod g(w)^k over a key's (word, net exponent) charges; a negative

@@ -4,7 +4,8 @@ Before symbols and admissible words became integer codes in
 ``treefock.words``, a ``Symbol`` was a frozen dataclass holding a word
 tuple and a mark, and an ``AdmissibleWord`` a frozen dataclass holding a
 sorted tuple of symbols, validated on every construction.  The classes
-and the enumeration below are that implementation, unchanged, and
+and the enumeration below are that implementation, unchanged, on the tuple
+words of ``tuple_words``, and
 ``embed`` is the binomial-split embedding of ``treefock.fock`` as it ran on
 them, returning a plain dict.  Tests check the code form against them.
 """
@@ -19,8 +20,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 from treefock import scalars
 from treefock.errors import CapExceeded
 from treefock.scalars import Scalar
-from treefock.words import (MAX_ENUMERATION, MAX_WORD_LENGTH, Word, all_words,
-                            make_word, word_text)
+from treefock.words import MAX_ENUMERATION, MAX_WORD_LENGTH
+from tuple_words import TupleWord as Word, all_words, make_word, word_text
 
 
 @dataclass(frozen=True)

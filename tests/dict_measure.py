@@ -1,7 +1,8 @@
 """The dict-keyed depth measure, kept as a differential oracle.
 
 Before the dense arrays in ``treefock.spectral``, a ``DepthMeasure`` was a
-dict from assignments (tuples of words, one per slot) to ``Fraction``
+dict from assignments (tuples of words, one per slot; the words are the
+bit tuples of ``tuple_words``) to ``Fraction``
 weights, and ``tensor`` enumerated its slot pairings itself with
 ``_pairings`` rather than through ``good_permutations``.  The class below
 is that implementation, unchanged apart from the constructors and report

@@ -3,8 +3,9 @@
 Before the integer form in ``treefock.scalars``, Q(sqrt2, i) was built from
 ``fractions.Fraction`` components: `QSqrt2` holds a + b*sqrt2 and
 `ExactComplex` holds two of them as real and imaginary parts.  The classes
-below are that implementation, unchanged.  Tests check the integer form
-against them operation by operation.
+below are that implementation, unchanged apart from division, inverses and
+negative powers, which the integer form no longer has.  Tests check the
+integer form against them operation by operation.
 """
 
 from __future__ import annotations
@@ -64,31 +65,9 @@ class QSqrt2:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QSqrt2":
-        # 1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2); the denominator only
-        # vanishes at zero because sqrt2 is irrational.
-        norm = self.a * self.a - 2 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in QSqrt2")
-        return QSqrt2(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "QSqrt2":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, exponent: int) -> "QSqrt2":
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
         result = QSqrt2(1)
         base = self
         n = exponent
@@ -154,16 +133,8 @@ class ExactComplex:
         self.im = im if isinstance(im, QSqrt2) else QSqrt2(im)
 
     @classmethod
-    def zero(cls) -> "ExactComplex":
-        return cls(0, 0)
-
-    @classmethod
     def one(cls) -> "ExactComplex":
         return cls(1, 0)
-
-    @classmethod
-    def i(cls) -> "ExactComplex":
-        return cls(0, 1)
 
     @staticmethod
     def _coerce(value: object) -> Optional["ExactComplex"]:
@@ -214,30 +185,9 @@ class ExactComplex:
         """Squared modulus, an exact element of Q(sqrt2)."""
         return self.re * self.re + self.im * self.im
 
-    def inverse(self) -> "ExactComplex":
-        n = self.abs2()
-        if not n:
-            raise ZeroDivisionError("division by zero in ExactComplex")
-        inv = n.inverse()
-        return ExactComplex(self.re * inv, -self.im * inv)
-
-    def __truediv__(self, other: object) -> "ExactComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "ExactComplex":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, exponent: int) -> "ExactComplex":
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
         result = ExactComplex.one()
         base = self
         n = exponent

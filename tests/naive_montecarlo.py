@@ -27,18 +27,20 @@ from treefock.errors import CapExceeded
 from treefock.gauss import GaussPoly
 from treefock.montecarlo import (MAX_SAMPLE_DEPTH, Estimate, _draw_leaves, _generator,
                                  _leaf_phases, _variable_columns)
-from treefock.words import TorusStep, Word, all_words
+from treefock.words import TorusStep, Word
+from tuple_words import all_words, code, from_code
 
 _BATCH = 1 << 14
 
 
 def tree_values(depth: int, leaves: Sequence[complex]) -> Dict[Word, complex]:
-    """Every word's value in one sample, filled upward from its leaves."""
+    """Every word's value in one sample, filled upward from its leaves over
+    tuple words and keyed by int code."""
     values = {w: complex(z) for w, z in zip(all_words(depth), leaves)}
     for length in range(depth - 1, -1, -1):
         for w in all_words(length):
             values[w] = (values[w + (0,)] + values[w + (1,)]) * 2.0 ** -0.5
-    return values
+    return {code(w): z for w, z in values.items()}
 
 
 def evaluate(poly: GaussPoly, values: Mapping[Word, complex]) -> complex:
@@ -60,7 +62,7 @@ def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
     if depth < 0 or depth > MAX_SAMPLE_DEPTH:
         raise CapExceeded(f"sample depth outside 0..{MAX_SAMPLE_DEPTH}")
     variables = sorted({w for p in polys for w in p.variables()})
-    if any(len(w) > depth for w in variables):
+    if any(len(from_code(w)) > depth for w in variables):
         raise ValueError("variable deeper than the sampled depth")
     coeffs = [[(m, complex(c)) for m, c in p.terms.items()] for p in polys]
     phases = _leaf_phases(step, depth)

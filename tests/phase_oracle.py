@@ -20,13 +20,15 @@ from treefock import scalars
 from treefock.gauss import GaussMonomial
 from treefock.spectral import IndexFunction
 from treefock.steps import GridCell
-from treefock.words import AdmissibleWord, TorusStep, word_index
+from treefock.words import AdmissibleWord, TorusStep
+from tuple_words import from_code, word_index
 
 
 def _value(g: TorusStep, w):
-    if len(w) < g.level:
+    t = from_code(w)  # the word's bits, read by the tuple format
+    if len(t) < g.level:
         raise ValueError("word shorter than the step's length")
-    return g.values[word_index(w[: g.level])]
+    return g.values[word_index(t[: g.level])]
 
 
 def word_phase(g: TorusStep, word: AdmissibleWord):

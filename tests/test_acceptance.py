@@ -16,7 +16,7 @@ from treefock.scalars import ExactComplex
 from treefock.spectral import IndexFunction, index_pq
 from treefock.suites import _moment_targets
 from treefock.words import (AdmissibleWord, Symbol, TorusStep,
-                            enumerate_admissible)
+                            enumerate_admissible, make_word)
 
 LEVELS = (1, 2)
 DEGREES = (1, 2, 3, 4)
@@ -247,7 +247,7 @@ def test_criterion_8_monte_carlo_cross_check():
 
 def test_criterion_9_pairing_oracle_agreement():
     t0 = time.perf_counter()
-    variables = [(0, 0), (0, 1), (1, 0)]
+    variables = [make_word(t) for t in ("00", "01", "10")]
     cases = 0
     ok = True
     singles = [(a, b) for a in range(7) for b in range(7) if a + b <= 6]

@@ -11,7 +11,8 @@ from treefock.fock import FockVector
 from treefock.gauss import GaussMonomial, GaussPoly
 from treefock.scalars import ExactComplex, QSqrt2
 from treefock.steps import GridCell, StepSum
-from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible, make_word
+from treefock.words import (AdmissibleWord, TorusStep, all_words, enumerate_admissible,
+                            make_word)
 
 W = AdmissibleWord.parse
 
@@ -19,8 +20,8 @@ W = AdmissibleWord.parse
 KINDS = {
     "fock": (lambda terms: FockVector(1, terms), list(enumerate_admissible(1, 2))),
     "step": (lambda terms: StepSum(1, terms),
-             [GridCell(1, ((a,), (b,)), ()) for a in (0, 1) for b in (0, 1)]
-             + [GridCell(1, ((a,),), ((b,),)) for a in (0, 1) for b in (0, 1)]),
+             [GridCell(1, (a, b), ()) for a in all_words(1) for b in all_words(1)]
+             + [GridCell(1, (a,), (b,)) for a in all_words(1) for b in all_words(1)]),
     "gauss": (GaussPoly, [GaussMonomial.of({make_word(w): (a, b)})
                           for w in ("0", "1") for a in (0, 1) for b in (0, 2)]),
 }
@@ -85,6 +86,25 @@ def test_inner_product_of_exact_and_float_raises(kind, inner):
     with pytest.raises(TypeError):
         inner(uf, u)
     assert inner(uf, uf) == pytest.approx(complex(inner(u, u)))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_sum_of_exact_and_float_raises(kind):
+    u, uf = exact_and_float(kind)
+    other = {"fock": lambda x: fock.basic(W("0 1"), x),
+             "step": lambda x: steps.from_fock(fock.basic(W("0 1"), x)),
+             "gauss": lambda x: gauss.from_fock(fock.basic(W("0 1"), x))}[kind]
+    # disjoint keys too: the sum would keep an exact coefficient in a
+    # combination whose backend reads float
+    for a, b in ((u, uf), (uf, u), (ExactComplex(1, 1) * u, complex(1) * other(scalars.FLOAT)),
+                 (other(scalars.FLOAT), u)):
+        with pytest.raises(TypeError, match="cannot combine"):
+            a + b
+        with pytest.raises(TypeError, match="cannot combine"):
+            a - b
+    # an empty combination carries no scalars and adds to either backend
+    for x in (u, uf):
+        assert x + x._like({}) == x == x._like({}) + x
 
 
 @pytest.mark.parametrize("kind, act", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from treefock import fock, scalars
 from treefock.errors import CapExceeded
 from treefock.scalars import EIGHTH_ROOTS, ExactComplex, QSqrt2
-from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible
+from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible, make_word
 
 W = AdmissibleWord.parse
 
@@ -142,7 +142,7 @@ def test_act_float_backend():
     v = fock.basic(W("0 1*"), backend=scalars.FLOAT)
     moved = fock.act(g, v)
     assert abs(fock.norm2(moved) - 1) < 1e-12
-    expected = g.value_at((0,)) * g.value_at((1,)).conjugate()
+    expected = g.value_at(make_word("0")) * g.value_at(make_word("1")).conjugate()
     assert moved[W("0 1*")] == pytest.approx(expected)
 
 

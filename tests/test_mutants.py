@@ -5,16 +5,24 @@ Each mutant monkeypatches one function in ``treefock`` and runs only the
 suite that holds its check, at the default configuration.  The named check
 must fail on a counterexample, and no check may record an exception, since
 none of the mutants raises one: a check that fails only by crashing would
-show nothing about what it compares.  That each check passes unmutated is
-``test_suites.test_suite_passes_at_small_caps``, whose caps give these four
-checks the same cases as the defaults.
+show nothing about what it compares.  Unmutated, every check passes in
+``test_suites.test_suite_passes_at_small_caps`` and, at the defaults, in the
+pinned report ``tests/data/all-defaults.csv`` that CI compares.
+
+The word mutants misplace bits in the functions that hold the word
+arithmetic; they spell the wrong word through ``tuple_words``.
 """
+
+import itertools
 
 import pytest
 
-from treefock import gauss, spectral, suites
+import tuple_words as tw
+from treefock import gauss, montecarlo, spectral, suites
 from treefock.spectral import DepthMeasure
+from treefock.steps import GridCell
 from treefock.suites import RunConfig
+from treefock.words import TorusStep
 
 
 def _moment_plus_one(monkeypatch):
@@ -44,11 +52,50 @@ def _first_child_coarsening(monkeypatch):
     monkeypatch.setattr(DepthMeasure, "coarsened", coarsened)
 
 
+def _step_reads_the_suffix(monkeypatch):
+    # the last ``level`` bits of the word instead of its first ones
+    def value_at(self, w):
+        bits = tw.from_code(w)
+        return self.values[tw.word_index(bits[len(bits) - self.level:])]
+    monkeypatch.setattr(TorusStep, "value_at", value_at)
+
+
+def _child_bit_in_front(monkeypatch):
+    def children(self):
+        kids = [[tw.code((b,) + tw.from_code(w)) for b in (0, 1)]
+                for w in self.left + self.right]
+        p = len(self.left)
+        for coords in itertools.product(*kids):
+            yield GridCell._trusted(self.depth + 1, coords[:p], coords[p:])
+    monkeypatch.setattr(GridCell, "children", children)
+
+
+def _descendant_bits_in_front(monkeypatch):
+    # refine's substitution takes t + w for w + t
+    monkeypatch.setattr(gauss, "descendants", lambda w, gap: [
+        tw.code(t + tw.from_code(w)) for t in tw.all_words(gap)])
+
+
+def _reversed_columns(monkeypatch):
+    # each variable reads the leaf block of its reversed word
+    columns = montecarlo._variable_columns
+
+    def reversed_columns(leaves, depth, variables):
+        flip = {w: tw.code(tw.from_code(w)[::-1]) for w in variables}
+        cols = columns(leaves, depth, sorted(set(flip.values())))
+        return {w: cols[flip[w]] for w in variables}
+    monkeypatch.setattr(montecarlo, "_variable_columns", reversed_columns)
+
+
 MUTANTS = [
     (_moment_plus_one, suites.density_suites, "remainder-rate"),
     (_doubled_remainder, suites.density_suites, "power-expansion"),
     (_always_uniform, suites.spectral_suites, "constraint-grid"),
     (_first_child_coarsening, suites.spectral_suites, "compatibility"),
+    (_step_reads_the_suffix, suites.coherence_suites, "embed-equivariance"),
+    (_child_bit_in_front, suites.coherence_suites, "embed-step"),
+    (_descendant_bits_in_front, suites.coherence_suites, "embed-gauss"),
+    (_reversed_columns, suites.simulate_suites, "tree-residual"),
 ]
 
 

@@ -14,18 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phase_oracle
+import tuple_words as tw
 from treefock import fock, gauss, scalars, spectral
 from treefock.gauss import GaussMonomial, GaussPoly
 from treefock.scalars import EIGHTH_ROOTS, EXACT, FLOAT
 from treefock.spectral import IndexFunction
 from treefock.steps import GridCell, StepSum
-from treefock.words import AdmissibleWord, Symbol, TorusStep, word_index
+from treefock.words import AdmissibleWord, Symbol, TorusStep
 
 MAX_DEPTH = 3
 
 
 def words(length):
-    return st.lists(st.integers(0, 1), min_size=length, max_size=length).map(tuple)
+    return st.lists(st.integers(0, 1), min_size=length, max_size=length).map(tw.code)
 
 
 @st.composite
@@ -141,5 +142,5 @@ def test_eighth_root_character_is_the_weighted_index_sum(data, level):
         admissible_words(depth).map(AdmissibleWord.charges),
         grid_cells(depth).map(GridCell.charges),
         monomials(depth).map(GaussMonomial.charges)))
-    total = sum(k * e[word_index(w[:level])] for w, k in charges)
+    total = sum(k * e[tw.word_index(tw.from_code(w)[:level])] for w, k in charges)
     assert g.character(charges) == EIGHTH_ROOTS[total % 8]

@@ -19,7 +19,7 @@ from treefock import gauss, scalars
 from treefock.gauss import GaussMonomial, GaussPoly
 from treefock.scalars import ExactComplex, QSqrt2
 from treefock.suites import FLOAT_TOL
-from treefock.words import all_words, make_word
+from treefock.words import all_words, make_word, word_length
 
 WORDS = [w for n in range(3) for w in all_words(n)]
 
@@ -42,7 +42,7 @@ MAX_EXPANSION = 3000
 def expansion_bound(p: GaussPoly, level: int) -> int:
     """An upper bound on the monomials of ``refine(p, level)``."""
     return sum(math.prod(math.comb(n + a - 1, a) * math.comb(n + b - 1, b)
-                         for n, a, b in ((2 ** (level - len(w)), a, b)
+                         for n, a, b in ((2 ** (level - word_length(w)), a, b)
                                          for w, a, b in m.exps))
                for m in p.terms)
 
@@ -71,7 +71,7 @@ def test_refine_agrees_with_pow_oracle(p, level):
     assume(expansion_bound(p, level) <= MAX_EXPANSION)
     got = gauss.refine(p, level)
     assert got == oracle.refine(p, level)
-    assert all(len(w) == level for m in got.terms for w in m.words())
+    assert all(word_length(w) == level for m in got.terms for w in m.words())
     f = float_copy(p)
     got_float = gauss.refine(f, level)
     assert close(got_float, oracle.refine(f, level))

@@ -261,5 +261,5 @@ def test_dense_layout_and_normal_form():
     assert not mu.counts.flags.writeable
     assert DepthMeasure.uniform(x, 2).scaled_mass(16).den == 1
     assert mu.support().sum() == 2
-    with pytest.raises(ValueError):
-        DepthMeasure(x, 1, {((2,), (0,)): Fraction(1)})
+    with pytest.raises(ValueError):  # a code below the root
+        DepthMeasure(x, 1, {(0, make_word("0")): Fraction(1)})

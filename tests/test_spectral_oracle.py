@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dict_measure as oracle
+import tuple_words as tw
 from treefock.spectral import DepthMeasure, IndexFunction
 from treefock.words import all_words
 
@@ -32,21 +33,25 @@ def index_functions(draw, max_slots):
 
 @st.composite
 def measure_pairs(draw, index, depth):
-    """The same random measure on both sides: (array form, oracle)."""
+    """The same random measure on both sides: (array form, oracle), the
+    oracle keyed by tuple words."""
     words = all_words(depth)
     cells = list(np.ndindex((len(words),) * index.total()))
     values = draw(st.lists(weight, min_size=len(cells), max_size=len(cells)))
     weights = {tuple(words[i] for i in cell): v for cell, v in zip(cells, values)}
-    return DepthMeasure(index, depth, weights), oracle.DepthMeasure(index, depth, weights)
+    return (DepthMeasure(index, depth, weights),
+            oracle.DepthMeasure(index, depth, {tuple(map(tw.from_code, key)): v
+                                               for key, v in weights.items()}))
 
 
 def assert_agree(new, old):
     assert new.index == old.index and new.depth == old.depth
-    assert dict(new.weights) == old.weights
+    assert dict(new.weights) == {tuple(map(tw.code, key)): v
+                                 for key, v in old.weights.items()}
     assert new.mass() == old.mass()
     assert new.is_zero is old.is_zero
     words = all_words(new.depth)
-    support = {tuple(words[i] for i in cell)
+    support = {tuple(tw.from_code(words[i]) for i in cell)
                for cell in np.argwhere(new.support()).tolist()}
     assert support == old.support()
     assert new.is_good_invariant() is old.is_good_invariant()

@@ -9,34 +9,38 @@ import pytest
 from treefock import fock, scalars, steps
 from treefock.scalars import ExactComplex, QSqrt2
 from treefock.steps import GridCell, StepSum
-from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible
+from treefock.words import AdmissibleWord, TorusStep, enumerate_admissible, make_word
 
 W = AdmissibleWord.parse
+w0, w1 = make_word("0"), make_word("1")
 
 
 def test_grid_cell_basics():
-    c = GridCell(1, ((0,), (1,)), ())
+    c = GridCell(1, (w0, w1), ())
     assert c.degrees == (2, 0)
     assert c.mass == Fraction(1, 4)
     kids = list(c.children())
     assert len(kids) == 4
     assert all(k.depth == 2 and k.mass == Fraction(1, 16) for k in kids)
     with pytest.raises(ValueError):
-        GridCell(2, ((0,),), ())
+        GridCell(2, (w0,), ())
 
 
 def test_grid_cell_rejects_non_binary_coordinates():
-    for left, right in ((((2,),), ()), (((0,),), ((-1,),)), (((0, 3),), ())):
-        depth = len(left[0])
+    # a coordinate is a word code: 1 is the root, nothing lies below it
+    for left, right in (((0,), ()), ((w0,), (-1,)), ((w0, 0), ())):
         with pytest.raises(ValueError):
-            GridCell(depth, left, right)
-    assert GridCell(1, ((1,),), ((0,),)).degrees == (1, 1)
+            GridCell(1, left, right)
+    for left in ([(0,)], [(0, 3)], [w0 + 0.0]):
+        with pytest.raises(TypeError):
+            GridCell(1, tuple(left), ())
+    assert GridCell(1, (w1,), (w0,)).degrees == (1, 1)
 
 
 def test_support_frozen_examples():
     w = W("0 0 1*")
     cells = steps.support_cells(w)
-    assert cells == [GridCell(1, ((0,), (0,)), ((1,),))]
+    assert cells == [GridCell(1, (w0, w0), (w1,))]
     assert steps.support_measure(w) == Fraction(1, 8)
     v = W("0 1")
     assert len(steps.support_cells(v)) == 2
@@ -55,9 +59,9 @@ def test_from_fock_stores_power_of_sqrt2_times_gram():
 
 
 def test_inner_applies_mass_and_shape_constant():
-    a_cell = GridCell(1, ((0,), (1,)), ((0,),))
-    b_cell = GridCell(1, ((1,), (0,)), ((0,),))
-    c_cell = GridCell(1, ((1,), (1,)), ((1,),))
+    a_cell = GridCell(1, (w0, w1), (w0,))
+    b_cell = GridCell(1, (w1, w0), (w0,))
+    c_cell = GridCell(1, (w1, w1), (w1,))
     f = StepSum(1, {a_cell: 3, b_cell: ExactComplex(0, 1), c_cell: 5})
     g = StepSum(1, {a_cell: 2, b_cell: ExactComplex(1, 1)})
     acc = 3 * 2 + ExactComplex(0, 1) * ExactComplex(1, -1)
@@ -69,7 +73,7 @@ def test_inner_applies_mass_and_shape_constant():
 def test_constructor_validates_cells():
     # from_fock and refine build from cells valid by construction and skip
     # this check; the public constructor keeps it
-    cell = GridCell(1, ((0,), (1,)), ((0,),))
+    cell = GridCell(1, (w0, w1), (w0,))
     assert StepSum(1, {cell: 1}).terms == {cell: 1}
     with pytest.raises(ValueError, match="wrong depth"):
         StepSum(2, {cell: 1})

@@ -4,6 +4,7 @@ import pytest
 
 from treefock import montecarlo, suites
 from treefock.suites import COMMANDS, RunConfig, SuiteReport
+from treefock.words import word_length
 
 SMALL_SIMULATE = RunConfig(command="simulate", level_max=1, degree_max=2,
                            samples=2000)
@@ -60,7 +61,7 @@ def test_tree_residual_reads_the_estimator_columns(monkeypatch):
 
     def skewed(leaves, depth, variables):
         cols = real(leaves, depth, variables)
-        return {w: c * (1 + 1e-7) if len(w) < depth else c
+        return {w: c * (1 + 1e-7) if word_length(w) < depth else c
                 for w, c in cols.items()}
 
     monkeypatch.setattr(montecarlo, "_variable_columns", skewed)

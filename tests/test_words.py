@@ -9,26 +9,49 @@ from hypothesis import strategies as st
 
 from treefock import scalars
 from treefock.errors import CapExceeded
+from treefock.spectral import DepthMeasure, index_pq
 from treefock.steps import GridCell
-from treefock.words import (AdmissibleWord, Symbol, TorusStep, all_words,
-                            enumerate_admissible, make_word, symbols_at,
-                            word_index, word_text)
+from treefock.words import (AdmissibleWord, Symbol, TorusStep, all_words, descendants,
+                            enumerate_admissible, make_word, prefix, symbols_at,
+                            word_index, word_length, word_text)
 
-bits = st.lists(st.integers(min_value=0, max_value=1), max_size=6)
+bits = st.text(alphabet="01", max_size=6)
 
 
 def test_word_basics():
-    assert make_word("011") == (0, 1, 1)
-    assert make_word([1, 0]) == (1, 0)
-    assert word_text(()) == "e"
-    assert word_text((1, 0)) == "10"
-    assert all_words(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # a word is its tree-node code: the bits under a leading 1
+    assert make_word("011") == 0b1011
+    assert make_word("") == 1
+    assert word_text(1) == "e"
+    assert word_text(0b110) == "10"
+    assert list(all_words(2)) == [0b100, 0b101, 0b110, 0b111]
     assert [word_index(w) for w in all_words(2)] == [0, 1, 2, 3]
+    assert [word_length(w) for w in (1, 0b10, 0b1011)] == [0, 1, 3]
+    assert list(descendants(make_word("1"), 2)) == [
+        make_word(t) for t in ("100", "101", "110", "111")]
+    assert prefix(make_word("0110"), 2) == make_word("01")
+    for bad in ("012", "0 1", "0_1"):
+        with pytest.raises(ValueError):
+            make_word(bad)
+    with pytest.raises(CapExceeded):
+        make_word("0" * 33)
+
+
+def test_tuple_words_are_refused():
+    # the old tuple-of-bits format fails at the boundary, not deeper down
+    with pytest.raises(TypeError):
+        make_word((0, 1))
+    with pytest.raises(TypeError):
+        Symbol((0, 1))
+    with pytest.raises(TypeError):
+        GridCell(1, ((0,),), ())
+    with pytest.raises(TypeError):
+        DepthMeasure(index_pq(1, 0), 1, {((0,),): Fraction(1)})
 
 
 def test_symbol_parse_and_order():
     s = Symbol.parse("01*")
-    assert s.word == (0, 1) and s.barred
+    assert s.word == make_word("01") and s.barred
     assert str(s) == "01*"
     assert str(s.conj()) == "01"
     assert s.conj().conj() == s
@@ -37,19 +60,19 @@ def test_symbol_parse_and_order():
 
 
 def test_symbol_validation():
-    # a bit outside {0, 1} or a word above MAX_WORD_LENGTH would alias
+    # a code below the root or a word above MAX_WORD_LENGTH would alias
     # another symbol's code
     with pytest.raises(ValueError):
-        Symbol((2,), False)
+        Symbol(0, False)
     with pytest.raises(ValueError):
-        AdmissibleWord((Symbol((2,)), Symbol((0,))))
+        AdmissibleWord((Symbol(0), Symbol(make_word("0"))))
     with pytest.raises(CapExceeded):
-        Symbol((0,) * 33)
+        Symbol(1 << 33)
     with pytest.raises(CapExceeded):
-        Symbol((1,) * 32).append(0)
+        Symbol(make_word("1" * 32)).append(0)
     with pytest.raises(TypeError):
         AdmissibleWord((2, 3))
-    plain, marked = Symbol((1, 0) * 16), Symbol((1, 0) * 16, True)
+    plain, marked = Symbol(make_word("10" * 16)), Symbol(make_word("10" * 16), True)
     assert plain != marked and plain.conj() == marked
     assert plain.level == marked.level == 32
     for s in (plain, marked):
@@ -71,7 +94,8 @@ def test_admissible_word_frozen_example():
     assert w.degrees == (2, 1)
     assert w.gram_diagonal() == 2
     assert w.variant_count() == 1
-    assert w.unmarked_words() == ((0,), (0,)) and w.marked_words() == ((1,),)
+    w0, w1 = make_word("0"), make_word("1")
+    assert w.unmarked_words() == (w0, w0) and w.marked_words() == (w1,)
     assert str(w) == "[0 0 1*]"
 
 
@@ -94,11 +118,12 @@ def test_admissible_word_canonical_order():
 
 
 def test_variants_example():
+    w0, w1 = make_word("0"), make_word("1")
     w = AdmissibleWord.parse("0 1")
     assert w.variant_count() == 2
-    assert set(w.variants()) == {(((0,), (1,)), ()), (((1,), (0,)), ())}
+    assert set(w.variants()) == {((w0, w1), ()), ((w1, w0), ())}
     v = AdmissibleWord.parse("0 0 1*")
-    assert v.variants() == [(((0,), (0,)), ((1,),))]
+    assert v.variants() == [((w0, w0), (w1,))]
     # repeated words in both blocks: each block's distinct orders, in
     # lexicographic order, the marked block varying fastest
     a, b, c, d = (make_word(t) for t in ("00", "01", "10", "11"))
@@ -152,11 +177,13 @@ def test_append_all():
 def test_torus_step_exact_values():
     g = TorusStep.from_eighth_root_indices([1, 6])
     assert g.level == 1
-    assert g.value_at((0,)) == scalars.EIGHTH_ROOTS[1]
-    assert g.value_at((1, 0)) == scalars.EIGHTH_ROOTS[6]  # prefix lookup
-    assert g.character([((0,), -1)]) == scalars.EIGHTH_ROOTS[7]
+    assert g.value_at(make_word("0")) == scalars.EIGHTH_ROOTS[1]
+    assert g.value_at(make_word("10")) == scalars.EIGHTH_ROOTS[6]  # prefix lookup
+    assert g.character([(make_word("0"), -1)]) == scalars.EIGHTH_ROOTS[7]
+    with pytest.raises(ValueError):
+        g.value_at(make_word(""))  # shorter than the step
     gh = g * g
-    assert gh.value_at((0,)) == scalars.EIGHTH_ROOTS[2]
+    assert gh.value_at(make_word("0")) == scalars.EIGHTH_ROOTS[2]
     assert (g * g.inverse()) == TorusStep.identity(1)
 
 
@@ -182,7 +209,7 @@ def test_torus_step_float_backend():
     rng = random.Random(3)
     g = TorusStep.random_phases(2, rng)
     assert g.backend == scalars.FLOAT
-    assert abs(abs(g.value_at((0, 1))) - 1) < 1e-12
+    assert abs(abs(g.value_at(make_word("01"))) - 1) < 1e-12
     prod = g * g.inverse()
     for w in all_words(2):
         assert prod.value_at(w) == pytest.approx(1.0)
@@ -200,5 +227,6 @@ def test_torus_step_multiplicative(i, j):
 
 def test_cell_mass():
     # product measure of one depth-level cell: 2^-(level * coordinates)
-    assert GridCell(1, ((0,),), ()).mass == Fraction(1, 2)
-    assert GridCell(2, ((0, 1), (1, 1)), ((0, 0),)).mass == Fraction(1, 64)
+    w = make_word
+    assert GridCell(1, (w("0"),), ()).mass == Fraction(1, 2)
+    assert GridCell(2, (w("01"), w("11")), (w("00"),)).mass == Fraction(1, 64)
