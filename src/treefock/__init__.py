@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibleWord", "CapExceeded", "DepthMeasure", "EXACT", "ExactComplex",
     "FLOAT", "GridCell", "IndexFunction", "QSqrt2", "RunConfig",
-    "StepSum", "SuiteReport", "Symbol", "TorusStep",
-    "__version__", "enumerate_admissible", "fock", "gauss", "index_pq",
+    "StepSum", "SuiteReport", "Symbol", "TorusStep", "__version__",
+    "combination", "enumerate_admissible", "fock", "gauss", "index_pq",
     "montecarlo", "scalars", "spectral", "steps", "suites", "words",
 ]

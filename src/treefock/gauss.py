@@ -17,9 +17,9 @@ where the variables are independent and the Wick rule
 applies.  It is taken without building the product polynomial, by charge
 matching.  The monomial m1 * conj(m2) has exponents (a1 + b2, b1 + a2) on
 each variable, so its moment is nonzero exactly when a1 - b1 == a2 - b2 for
-every word: when m1 and m2 carry the same charge vector (w, a - b), words of
-charge zero left out.  ``inner`` groups q's monomials by that vector and
-pairs each monomial of p only within its group; a matched pair contributes
+every word: when m1 and m2 carry the same charge vector ``charges()``, the
+pairs (w, a - b) with a != b.  ``inner`` groups q's monomials by that vector
+and pairs each monomial of p only within its group; a matched pair contributes
 c1 * conj(c2) times the product over words of (a1 + b2)!, and every other
 pair contributes 0.  The moment E[p] is <p, 1>, and ``moment_by_pairings``
 recomputes monomial moments by brute-force Wick matching as an independent
@@ -30,12 +30,12 @@ letters conjugated); a torus step acts by composition, multiplying each
 variable by the step's value on its cell, so a monomial picks up the step's
 character of its charges (w, a - b).
 
-``expansion_remainder`` and the rate/expansion reports quantify how fast the
-diagonal part of the depth-l expansion of a power of the root variable
-z = z_e decays: the mean-centered squared norm is (2m)! - (m!)^2 over
-2^(l(2m-1)) on the diagonal and the full norm is (k+m)!/2^(l(k+m-1)) off it.
-The mean itself is the exact centering; it coincides with sqrt(m!) only for
-m <= 1, and the report records whether that shortcut would have agreed.
+``power_expansion`` writes a power z^k conj(z)^m of the root variable
+z = z_e as its depth-l sum over child-index tuples, and
+``expansion_remainder`` is the diagonal (constant-index) part of that sum;
+``remainder_rate`` measures the remainder's mean and the squared norm of the
+remainder minus its mean.  The closed forms these are checked against live
+in the density suite.
 """
 
 from __future__ import annotations
@@ -43,16 +43,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from . import scalars
 from .combination import Combination
 from .errors import CapExceeded
 from .fock import FockVector
 from .scalars import Scalar
-from .words import (MAX_WORD_LENGTH, TorusStep, Word, all_words, descendants,
-                    make_word, word_length, word_text)
+from .words import (MAX_WORD_LENGTH, TorusStep, Word, all_words, check_word,
+                    descendants, word_length, word_text)
 
 # Bound on the number of monomials ``refine`` may produce.
 DEFAULT_MAX_TERMS = 200_000
@@ -71,10 +70,11 @@ class GaussMonomial:
     exps: Exps
 
     def __post_init__(self) -> None:
-        cleaned = tuple(sorted(e for e in self.exps if e[1] or e[2]))
-        for w, a, b in cleaned:
+        for w, a, b in self.exps:
+            check_word(w)
             if a < 0 or b < 0:
                 raise ValueError("negative exponent")
+        cleaned = tuple(sorted(e for e in self.exps if e[1] or e[2]))
         words = [w for w, _, _ in cleaned]
         if len(set(words)) != len(words):
             raise ValueError("duplicate variable in monomial")
@@ -89,8 +89,9 @@ class GaussMonomial:
         return sum(a + b for _, a, b in self.exps)
 
     def charges(self) -> List[Tuple[Word, int]]:
-        """(w, a - b) per variable: z_w counts once, its conjugate minus once."""
-        return [(w, a - b) for w, a, b in self.exps]
+        """(w, a - b) per variable whose net charge is not zero: z_w counts
+        once, its conjugate minus once."""
+        return [(w, a - b) for w, a, b in self.exps if a != b]
 
     @property
     def is_constant(self) -> bool:
@@ -227,24 +228,19 @@ def inner(p: GaussPoly, q: GaussPoly) -> Scalar:
     groups: Dict[Tuple[Tuple[Word, int], ...],
                  List[Tuple[Dict[Word, int], int, Scalar]]] = {}
     for mono, c in q.terms.items():
-        groups.setdefault(_charge_key(mono), []).append(
+        groups.setdefault(tuple(mono.charges()), []).append(
             ({w: b for w, _, b in mono.exps},
              math.prod(math.factorial(b) for _, _, b in mono.exps),
              scalars.conj(c)))
     acc: Scalar = 0
     for mono, c in p.terms.items():
-        for bs, factor, d in groups.get(_charge_key(mono), ()):
+        for bs, factor, d in groups.get(tuple(mono.charges()), ()):
             # (a1 + b2)! per word: b2! is already in factor, so multiply in
             # (a1 + b2)! / b2! for each of p's words
             for w, a, _ in mono.exps:
                 factor *= math.perm(a + bs.get(w, 0), a)
             acc = acc + c * d * factor
     return acc
-
-
-def _charge_key(mono: GaussMonomial) -> Tuple[Tuple[Word, int], ...]:
-    """The nonzero charges (w, a - b) of a monomial, in its word order."""
-    return tuple((w, a - b) for w, a, b in mono.exps if a != b)
 
 
 def norm2(p: GaussPoly) -> Scalar:
@@ -308,71 +304,30 @@ def expansion_remainder(k: int, m: int, depth: int) -> GaussPoly:
     return GaussPoly({GaussMonomial.of({t: (k, m)}): scale for t in all_words(depth)})
 
 
-@dataclass
-class RemainderRate:
-    """Exact decay data for the diagonal part of a power's expansion."""
-
-    centering: Scalar            # E of the remainder (zero when k != m)
-    norm2_centered: Scalar       # ||remainder - centering||^2, exact
-    closed_form: Fraction        # the predicted value of norm2_centered
-    matches_closed_form: bool
-    centering_matches_sqrt_factorial: Optional[bool]  # None when k != m
-
-    @property
-    def passed(self) -> bool:
-        return self.matches_closed_form
-
-
-def remainder_rate(k: int, m: int, depth: int) -> RemainderRate:
+def remainder_rate(k: int, m: int, depth: int) -> Tuple[Scalar, Scalar]:
+    """The mean c of ``expansion_remainder(k, m, depth)`` and the squared
+    norm of the remainder minus c."""
     r = expansion_remainder(k, m, depth)
     c = moment(r)
     centered = r - GaussPoly.constant(c)
-    n2 = inner(centered, centered)
-    if k == m:
-        closed = Fraction(math.factorial(2 * m) - math.factorial(m) ** 2,
-                          2 ** (depth * (2 * m - 1)))
-        # c is a mean of |z_t|^(2m) terms, so it is positive, and it equals
-        # sqrt(m!) exactly when its square is m!
-        sqrt_match = c * c == math.factorial(m)
-    else:
-        closed = Fraction(math.factorial(k + m), 2 ** (depth * (k + m - 1)))
-        sqrt_match = None
-    return RemainderRate(c, n2, closed, n2 == closed, sqrt_match)
+    return c, inner(centered, centered)
 
 
-@dataclass
-class ExpansionReport:
-    """Exact check that a power of one variable expands as displayed."""
-
-    identity_holds: bool          # refine equals the displayed index sum
-    remainder_matches: bool       # constant-index part equals the remainder
-
-    @property
-    def passed(self) -> bool:
-        return self.identity_holds and self.remainder_matches
-
-
-def power_expansion_report(k: int, m: int, depth: int) -> ExpansionReport:
-    """Verify z^k conj(z)^m = 2^(-depth(k+m)/2) * sum over index tuples
-    of the corresponding product of child variables, split into its
-    constant-index (diagonal) and mixed-index parts."""
+def power_expansion(k: int, m: int, depth: int) -> GaussPoly:
+    """The child-index sum of z^k conj(z)^m, z the root variable:
+    2^(-depth(k+m)/2) times the sum over tuples t of k + m depth-``depth``
+    words of z_(t_1) ... z_(t_k) conj(z_(t_(k+1)) ... z_(t_(k+m))).  Its
+    single-variable monomials are the constant-index tuples'."""
     if k < 0 or m < 0 or k + m < 1:
         raise ValueError("need nonnegative exponents with k + m >= 1")
     children = all_words(depth)
     tuples = len(children) ** (k + m)
     if tuples > DEFAULT_MAX_TERMS:
         raise CapExceeded(f"{tuples} index tuples exceed the cap {DEFAULT_MAX_TERMS}")
-    lhs = refine(GaussPoly({GaussMonomial.of({make_word(""): (k, m)}): 1}), depth)
     scale = scalars.sqrt2_pow(-depth * (k + m))
-    rhs: Dict[GaussMonomial, Scalar] = {}
-    diagonal: Dict[GaussMonomial, Scalar] = {}
+    out: Dict[GaussMonomial, Scalar] = {}
     for choice in itertools.product(children, repeat=k + m):
         mono = GaussMonomial.of({t: (choice[:k].count(t), choice[k:].count(t))
                                  for t in choice})
-        rhs[mono] = rhs.get(mono, 0) + scale
-        if len(set(choice)) == 1:
-            diagonal[mono] = diagonal.get(mono, 0) + scale
-    return ExpansionReport(
-        identity_holds=(lhs == GaussPoly(rhs)),
-        remainder_matches=(GaussPoly(diagonal) == expansion_remainder(k, m, depth)),
-    )
+        out[mono] = out.get(mono, 0) + scale
+    return GaussPoly(out)

@@ -30,7 +30,7 @@ from . import scalars
 from .combination import Combination
 from .errors import CapExceeded
 from .fock import FockVector
-from .scalars import Scalar
+from .scalars import EXACT, Scalar
 from .words import (MAX_WORD_LENGTH, AdmissibleWord, TorusStep, Word, check_word,
                     child, word_length)
 
@@ -115,8 +115,8 @@ class StepSum(Combination):
 
     def inner(self, other: "StepSum") -> Scalar:
         """Integral of self * conj(other) over the product grids."""
-        depth = self.depth
-        return self._pair(other, lambda cell: _weight(depth, *cell.degrees))
+        depth, backend = self.depth, self.backend()
+        return self._pair(other, lambda cell: _weight(depth, *cell.degrees, backend))
 
     def norm2(self) -> Scalar:
         return self.inner(self)
@@ -159,9 +159,12 @@ class StepSum(Combination):
 
 
 @lru_cache(maxsize=None)
-def _weight(depth: int, p: int, q: int) -> Fraction:
-    """Cell mass times the shape constant 1/sqrt(p! q!) squared."""
-    return Fraction(1, 2 ** (depth * (p + q)) * math.factorial(p) * math.factorial(q))
+def _weight(depth: int, p: int, q: int, backend: str) -> Scalar:
+    """Cell mass times the shape constant 1/sqrt(p! q!) squared: a Fraction,
+    or its float on the float backend, where a complex times a Fraction
+    would convert the Fraction on every product."""
+    weight = Fraction(1, 2 ** (depth * (p + q)) * math.factorial(p) * math.factorial(q))
+    return weight if backend == EXACT else float(weight)
 
 
 def _arrangements(block: Tuple[Word, ...]) -> int:

@@ -45,6 +45,11 @@ FLOAT_TOL = 1e-9
 # by seed + 1.
 SEED_MAX = 2 ** 128 - 2
 
+# The depth of the spectral suite's grids and of the simulate suite's step.
+# RunConfig.validate puts the floor of --depth-max at 2, so these checks run
+# at depth 2 under every configuration.
+SMALL_DEPTH = 2
+
 
 @dataclass
 class RunConfig:
@@ -608,19 +613,23 @@ def density_suites(cfg: RunConfig) -> List[SuiteReport]:
                 for m in range(0, 5):
                     if not 1 <= k + m <= 4:
                         continue
-                    rate = gauss.remainder_rate(k, m, depth)
-                    ok = rate.matches_closed_form
+                    c, n2 = gauss.remainder_rate(k, m, depth)
                     if k == m:
-                        expected_flag = (m == 1)
-                        ok = (ok and rate.centering_matches_sqrt_factorial
-                              is expected_flag)
-                        ok = ok and rate.centering == Fraction(math.factorial(m),
-                                                               2 ** (depth * (m - 1)))
+                        closed = Fraction(
+                            math.factorial(2 * m) - math.factorial(m) ** 2,
+                            2 ** (depth * (2 * m - 1)))
+                        centering = Fraction(math.factorial(m), 2 ** (depth * (m - 1)))
                     else:
-                        ok = ok and rate.centering == 0
-                        ok = ok and rate.centering_matches_sqrt_factorial is None
-                    r.case(ok, k=k, m=m, depth=depth, centering=rate.centering,
-                           norm2=rate.norm2_centered, closed_form=rate.closed_form)
+                        closed = Fraction(math.factorial(k + m),
+                                          2 ** (depth * (k + m - 1)))
+                        centering = 0
+                    # for k = m, c is a mean of |z_t|^(2m) terms, so it is
+                    # positive and equals sqrt(m!) exactly when c * c == m!
+                    sqrt_match = c * c == math.factorial(m)
+                    r.case(n2 == closed and c == centering
+                           and sqrt_match is (k == m == 1),
+                           k=k, m=m, depth=depth, centering=c, norm2=n2,
+                           closed_form=closed)
 
     with checks.run("power-expansion",
                     "powers of one variable expand into the child-index sum, "
@@ -632,9 +641,15 @@ def density_suites(cfg: RunConfig) -> List[SuiteReport]:
                             if 1 <= k + m <= 2]:
             if depth > cfg.depth_max:
                 continue
-            rep = gauss.power_expansion_report(k, m, depth)
-            r.case(rep.passed, k=k, m=m, depth=depth,
-                   identity=rep.identity_holds, remainder=rep.remainder_matches)
+            power = gauss.GaussPoly({gauss.GaussMonomial.of({make_word(""): (k, m)}): 1})
+            index_sum = gauss.power_expansion(k, m, depth)
+            # the single-variable monomials are the constant-index tuples
+            diagonal = gauss.GaussPoly({mono: c for mono, c in index_sum.terms.items()
+                                        if len(mono.exps) == 1})
+            identity = gauss.refine(power, depth) == index_sum
+            remainder = diagonal == gauss.expansion_remainder(k, m, depth)
+            r.case(identity and remainder, k=k, m=m, depth=depth,
+                   identity=identity, remainder=remainder)
 
     with checks.run("disjoint-product",
                     "moments multiply across disjoint subtrees and agree with "
@@ -692,7 +707,7 @@ def spectral_suites(cfg: RunConfig) -> List[SuiteReport]:
                     "grid phases are unimodular, multiplicative, invariant "
                     "under good permutations, and reduce to the word phase") as r:
         for x in [index_pq(1, 0), index_pq(1, 1), index_pq(2, 0), index_pq(2, 1)]:
-            depth = 2
+            depth = SMALL_DEPTH
             g = _random_step(cfg, depth, rng)
             h = _random_step(cfg, depth, rng)
             slots = x.slots()
@@ -723,7 +738,7 @@ def spectral_suites(cfg: RunConfig) -> List[SuiteReport]:
                 continue
             count = spectral.pairing_count(x, y)
             expected = math.prod(math.factorial(c) for _, c in (x + y).items)
-            depth = min(2, cfg.depth_max)
+            depth = SMALL_DEPTH
             mu = DepthMeasure.uniform(x, depth)
             nu = DepthMeasure.uniform(y, depth)
             prod = mu.tensor(nu)
@@ -743,7 +758,7 @@ def spectral_suites(cfg: RunConfig) -> List[SuiteReport]:
                     "relabeling rescales levels, preserves mass, and composes") as r:
         for x in catalog:
             for m in (-2, -1, 1, 2):
-                mu = DepthMeasure.uniform(x, min(2, cfg.depth_max))
+                mu = DepthMeasure.uniform(x, SMALL_DEPTH)
                 moved = mu.relabel(m)
                 ok = (moved.index == x.scaled(m) and moved.mass() == mu.mass()
                       and moved.relabel(-1) == mu.relabel(-m))
@@ -756,7 +771,7 @@ def spectral_suites(cfg: RunConfig) -> List[SuiteReport]:
                     "exactly on the unit-domain rows at multiplicity one") as r:
         for x in richer:
             for j in (1, 2, 3):
-                mu = spectral.spectral_form(x, j, depth=min(2, cfg.depth_max))
+                mu = spectral.spectral_form(x, j, depth=SMALL_DEPTH)
                 expect_nonzero = (j == 1 and x.has_unit_domain())
                 ok = (not mu.is_zero) is expect_nonzero
                 if expect_nonzero:
@@ -772,7 +787,7 @@ def spectral_suites(cfg: RunConfig) -> List[SuiteReport]:
                     for m1 in coeffs for m2 in coeffs
                     for x1 in catalog for x2 in catalog])
         for ms, xs in cases:
-            report = spectral.check_constraint(ms, xs, depth=min(2, cfg.depth_max))
+            report = spectral.check_constraint(ms, xs, depth=SMALL_DEPTH)
             lhs_zero = any(not x.has_unit_domain() for x in xs)
             expected = lhs_zero or all(abs(m) == 1 for m in ms)
             r.case(report.holds is expected and report.lhs_zero is lhs_zero,
@@ -862,7 +877,7 @@ def simulate_suites(cfg: RunConfig) -> List[SuiteReport]:
     with checks.run("tree-residual",
                     "sampled trees satisfy the child-averaging relation to "
                     "rounding error, before and after a torus step") as r:
-        g = _random_step(cfg, min(2, depth), rng)
+        g = _random_step(cfg, SMALL_DEPTH, rng)
         leaves = montecarlo.sample_trees(depth, 20, cfg.seed)
         before = _tree_residuals(leaves, depth)
         after = _tree_residuals(leaves * montecarlo._leaf_phases(g, depth), depth)

@@ -322,7 +322,7 @@ class TorusStep:
 
     def value_at(self, w: Word) -> Scalar:
         """The step's value on the cell of ``w``; ``w`` may be longer."""
-        return self.values[word_index(prefix(w, self.level))]
+        return self.values[word_index(prefix(check_word(w), self.level))]
 
     def character(self, charges: Iterable[Tuple[Word, int]]) -> Scalar:
         """prod g(w)^k over a key's (word, net exponent) charges; a negative

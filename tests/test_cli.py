@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from treefock import cli
-from treefock.suites import RunConfig, SuiteReport
+from treefock.suites import SuiteReport
 
 FAST = ["--level-max", "1", "--degree-max", "2", "--samples", "2000"]
 

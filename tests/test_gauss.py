@@ -1,6 +1,5 @@
 """Gaussian polynomials: moments, refinement, composition, decay rates."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -138,33 +137,26 @@ def test_pairing_oracle_rejects_mixed_levels():
 
 
 def test_remainder_rates_frozen():
-    # k != m: ||r||^2 = (k+m)! 2^(-depth(k+m-1))
-    r10 = gauss.remainder_rate(1, 0, 1)
-    assert r10.centering == 0 and r10.norm2_centered == 1
-    r20 = gauss.remainder_rate(2, 0, 1)
-    assert r20.norm2_centered == Fraction(1)  # 2/2
-    r21 = gauss.remainder_rate(2, 1, 2)
-    assert r21.norm2_centered == Fraction(6, 16)
-    # k == m: centering is the exact mean m! 2^(-depth(m-1))
-    r11 = gauss.remainder_rate(1, 1, 1)
-    assert r11.centering == 1
-    assert r11.norm2_centered == Fraction(1, 2)
-    assert r11.centering_matches_sqrt_factorial is True
-    r22 = gauss.remainder_rate(2, 2, 1)
-    assert r22.centering == 1  # 2!/2
-    assert r22.norm2_centered == Fraction(20, 8)
-    assert r22.centering_matches_sqrt_factorial is False
-    r22d = gauss.remainder_rate(2, 2, 2)
-    assert r22d.centering == Fraction(1, 2)
-    assert r22d.norm2_centered == Fraction(20, 64)
-    for r in (r10, r20, r21, r11, r22, r22d):
-        assert r.passed
+    # k != m: centering 0, ||r||^2 = (k+m)! 2^(-depth(k+m-1))
+    assert gauss.remainder_rate(1, 0, 1) == (0, 1)
+    assert gauss.remainder_rate(2, 0, 1) == (0, Fraction(1))  # 2/2
+    assert gauss.remainder_rate(2, 1, 2) == (0, Fraction(6, 16))
+    # k == m: centering is the exact mean m! 2^(-depth(m-1)), and the norm
+    # is ((2m)! - (m!)^2) 2^(-depth(2m-1))
+    assert gauss.remainder_rate(1, 1, 1) == (1, Fraction(1, 2))
+    assert gauss.remainder_rate(2, 2, 1) == (1, Fraction(20, 8))  # 2!/2
+    assert gauss.remainder_rate(2, 2, 2) == (Fraction(1, 2), Fraction(20, 64))
 
 
 def test_expansion_identity():
+    root = make_word("")
     for k, m in ((1, 0), (2, 0), (1, 1), (2, 1), (2, 2)):
-        rep = gauss.power_expansion_report(k, m, 1)
-        assert rep.passed
+        index_sum = gauss.power_expansion(k, m, 1)
+        power = GaussPoly({GaussMonomial.of({root: (k, m)}): 1})
+        assert gauss.refine(power, 1) == index_sum
+        diagonal = GaussPoly({mono: c for mono, c in index_sum.terms.items()
+                              if len(mono.exps) == 1})
+        assert diagonal == gauss.expansion_remainder(k, m, 1)
 
 
 def test_poly_algebra_and_eq():

@@ -14,15 +14,18 @@ arithmetic; they spell the wrong word through ``tuple_words``.
 """
 
 import itertools
+import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import tuple_words as tw
-from treefock import gauss, montecarlo, spectral, suites
+from treefock import fock, gauss, montecarlo, spectral, steps, suites
 from treefock.spectral import DepthMeasure
 from treefock.steps import GridCell
 from treefock.suites import RunConfig
-from treefock.words import TorusStep
+from treefock.words import AdmissibleWord, TorusStep
 
 
 def _moment_plus_one(monkeypatch):
@@ -87,7 +90,51 @@ def _reversed_columns(monkeypatch):
     monkeypatch.setattr(montecarlo, "_variable_columns", reversed_columns)
 
 
+def _bits_reversed(monkeypatch):
+    # the last entry takes the first bit
+    append_all = AdmissibleWord.append_all
+    monkeypatch.setattr(AdmissibleWord, "append_all",
+                        lambda self, bits: append_all(self, bits[::-1]))
+
+
+def _unit_binomials(monkeypatch):
+    # only fock's view of math: the suites' closed forms use the real comb
+    monkeypatch.setattr(fock, "math", SimpleNamespace(comb=lambda n, k: 1))
+
+
+def _unsigned_charges(monkeypatch):
+    # marked letters charge +m instead of -m
+    monkeypatch.setattr(AdmissibleWord, "charges", lambda self: [
+        (s.word, m) for s, m in self.symbol_multiplicities().items()])
+
+
+def _weight_p_factorial_squared(monkeypatch):
+    def weight(depth, p, q, backend):
+        return Fraction(1, 2 ** (depth * (p + q)) * math.factorial(p) ** 2)
+    monkeypatch.setattr(steps, "_weight", weight)
+
+
+def _one_arrangement_dropped(monkeypatch):
+    # a word with a single arrangement keeps it, so its support stays nonempty
+    support_cells = steps.support_cells
+    monkeypatch.setattr(steps, "support_cells",
+                        lambda word: support_cells(word)[:-1] or support_cells(word))
+
+
+def _uncentered_norm(monkeypatch):
+    def remainder_rate(k, m, depth):
+        r = gauss.expansion_remainder(k, m, depth)
+        return gauss.moment(r), gauss.inner(r, r)
+    monkeypatch.setattr(gauss, "remainder_rate", remainder_rate)
+
+
 MUTANTS = [
+    (_bits_reversed, suites.fock_suites, "norm-split"),
+    (_unit_binomials, suites.fock_suites, "embed-isometry"),
+    (_unsigned_charges, suites.step_suites, "torus-equivariance"),
+    (_weight_p_factorial_squared, suites.step_suites, "realization-isometry"),
+    (_one_arrangement_dropped, suites.step_suites, "support-measure"),
+    (_uncentered_norm, suites.density_suites, "remainder-rate"),
     (_moment_plus_one, suites.density_suites, "remainder-rate"),
     (_doubled_remainder, suites.density_suites, "power-expansion"),
     (_always_uniform, suites.spectral_suites, "constraint-grid"),

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treefock import scalars
+from treefock import montecarlo, scalars
 from treefock.errors import CapExceeded
+from treefock.gauss import GaussMonomial, GaussPoly
 from treefock.spectral import DepthMeasure, index_pq
 from treefock.steps import GridCell
 from treefock.words import (AdmissibleWord, Symbol, TorusStep, all_words, descendants,
@@ -47,6 +48,17 @@ def test_tuple_words_are_refused():
         GridCell(1, ((0,),), ())
     with pytest.raises(TypeError):
         DepthMeasure(index_pq(1, 0), 1, {((0,),): Fraction(1)})
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: GaussMonomial.of({(0,): (1, 0)}),
+    lambda: GaussPoly.variable((0,)),
+    lambda: montecarlo.estimate_many([GaussPoly.variable((0,))], 10, 2),
+    lambda: TorusStep.identity(1).value_at((0,)),
+], ids=["monomial", "variable", "estimate-many", "step-value"])
+def test_tuple_words_are_refused_by_monomials_and_steps(entry):
+    with pytest.raises(TypeError):
+        entry()
 
 
 def test_symbol_parse_and_order():
