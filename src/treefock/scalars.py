@@ -19,8 +19,9 @@ The float backend uses the builtin ``complex``; the module-level helpers
 `one`, `sqrt2_pow` and `inv_sqrt2_pow` dispatch on a backend name, while
 `eighth_root` is exact only and `phase` float only.  Exact and float scalars
 are deliberately not inter-operable: an `ExactComplex` mixed with a
-``float`` or ``complex`` raises TypeError instead of silently degrading
-precision.  Plain ``int`` and ``Fraction`` values coerce into
+``float`` or ``complex``, or built from a part that is not an int, a
+Fraction or a real exact value, raises TypeError instead of silently
+degrading precision.  Plain ``int`` and ``Fraction`` values coerce into
 either backend, which lets vectors keep rational coefficients in their
 cheapest form until an irrational scalar actually enters; `one` returns a
 plain int on the exact backend for that reason.  A rational counts
@@ -71,8 +72,9 @@ def _real_fields(x: object) -> Tuple[int, int, int]:
         if x.c or x.d:
             raise TypeError(f"{x} is not real")
         return x.a, x.b, x.den
-    q = x if isinstance(x, Fraction) else Fraction(x)
-    return q.numerator, 0, q.denominator
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{x!r} is not an int, Fraction or real exact value")
+    return x.numerator, 0, x.denominator
 
 
 def _fraction_str(a: int, b: int, den: int) -> str:
@@ -89,7 +91,8 @@ class ExactComplex:
     """An element (a + b*sqrt2 + (c + d*sqrt2)*i)/den of Q(sqrt2, i).
 
     ``ExactComplex(re, im)`` builds re + im*i from real parts that are ints,
-    Fractions or real ExactComplex values (such as `QSqrt2` results).
+    Fractions or real ExactComplex values (such as `QSqrt2` results); any
+    other part, a float or a string among them, raises TypeError.
     Instances are immutable and always in normal form: ``den > 0`` and
     ``gcd(a, b, c, d, den) == 1``.
     """
@@ -224,15 +227,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return bool(self.a or self.b or self.c or self.d)
 
-    @property
-    def is_rational(self) -> bool:
-        return not (self.b or self.c or self.d)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.a, self.den)
-
     def __float__(self) -> float:
         if self.c or self.d:
             raise TypeError(f"{self} is not real")
@@ -262,7 +256,8 @@ class ExactComplex:
 
 
 class QSqrt2(ExactComplex):
-    """A real element a + b*sqrt2 of Q(sqrt2), for rational a and b.
+    """A real element a + b*sqrt2 of Q(sqrt2), for int or Fraction a and b;
+    any other part raises TypeError.
 
     The real subfield of `ExactComplex`: its instances have ``c == d == 0``.
     Sums, differences, products and powers whose operands are all
@@ -275,10 +270,11 @@ class QSqrt2(ExactComplex):
     __slots__ = ()
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
-        p = a if isinstance(a, Fraction) else Fraction(a)
-        q = b if isinstance(b, Fraction) else Fraction(b)
-        pd, qd = p.denominator, q.denominator
-        x = _reduced(p.numerator * qd, q.numerator * pd, 0, 0, pd * qd)
+        for part in (a, b):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"{part!r} is not an int or Fraction")
+        pd, qd = a.denominator, b.denominator
+        x = _reduced(a.numerator * qd, b.numerator * pd, 0, 0, pd * qd)
         self.a, self.b, self.c, self.d, self.den = x.a, x.b, 0, 0, x.den
 
 

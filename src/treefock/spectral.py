@@ -27,14 +27,17 @@ zero measure otherwise.  The semigroup operations are
 and tests absolute continuity as support containment of cylinder weights at
 every depth up to the requested one.  For the uniform-or-zero measures that
 arise here, support containment at each finite depth is exactly what is
-falsifiable; the reading is recorded in the report.
+falsifiable.  The compatibility conditions (coherence across depths,
+good-permutation invariance, shrinking diagonals) are read off a measure by
+``coarsened``, ``is_good_invariant`` and ``diagonal_masses``; the
+verification suite judges them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -348,23 +351,19 @@ def spectral_form(x: IndexFunction, j: int = 1, depth: int = 1) -> DepthMeasure:
     return DepthMeasure.zero(x, depth)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintReport:
     """Outcome of one convolution-constraint check.
 
-    ``holds_per_depth`` records support containment of the left side in the
-    right side at each depth from 1 to the requested one; ``holds`` is their
-    conjunction.  The containment reading of absolute continuity is the only
-    one falsifiable from cylinder weights; for the uniform-or-zero measures
-    compared here the two coincide.
+    ``holds`` says that the left side's support lies in the right side's at
+    every depth from 1 to the requested one; ``lhs_zero`` that the left side
+    vanishes at the deepest.  The containment reading of absolute continuity
+    is the only one falsifiable from cylinder weights; for the
+    uniform-or-zero measures compared here the two coincide.
     """
 
+    holds: bool
     lhs_zero: bool
-    holds_per_depth: List[bool] = field(default_factory=list)
-
-    @property
-    def holds(self) -> bool:
-        return all(self.holds_per_depth)
 
 
 def check_constraint(coefficients: Sequence[int],
@@ -381,53 +380,11 @@ def check_constraint(coefficients: Sequence[int],
     combined = indices[0].scaled(coefficients[0])
     for m, x in zip(coefficients[1:], indices[1:]):
         combined = combined + x.scaled(m)
-    report = ConstraintReport(lhs_zero=True)
+    holds = True
     for d in range(1, depth + 1):
         lhs = spectral_form(indices[0], 1, d).relabel(coefficients[0])
         for m, x in zip(coefficients[1:], indices[1:]):
             lhs = lhs.tensor(spectral_form(x, 1, d).relabel(m))
         rhs = spectral_form(combined, 1, d)
-        report.holds_per_depth.append(not (lhs.support() & ~rhs.support()).any())
-        report.lhs_zero = lhs.is_zero
-    return report
-
-
-@dataclass
-class CompatibilityReport:
-    """Finite-depth evidence for the three compatibility conditions.
-
-    Invariance under good permutations and coherence across depths are exact
-    checks; diagonal masses are reported per slot pair and tested to be
-    nonincreasing in depth (their limit vanishing is condition three).  The
-    absolute continuity of depth marginals is not falsifiable from finitely
-    many cylinder weights, so it is not reported.
-    """
-
-    coherent: bool
-    good_invariant: bool
-    diagonal_masses: Dict[Tuple[Slot, Slot], List[Fraction]]
-    diagonals_nonincreasing: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.coherent and self.good_invariant and self.diagonals_nonincreasing
-
-
-def compatibility_report(family: Sequence[DepthMeasure]) -> CompatibilityReport:
-    """The three conditions on one measure per depth, at consecutive depths."""
-    if not family:
-        raise ValueError("need at least one depth")
-    if any(mu.index != family[0].index for mu in family):
-        raise ValueError("family with mixed index functions")
-    if any(deeper.depth != shallower.depth + 1
-           for shallower, deeper in zip(family, family[1:])):
-        raise ValueError("family must be listed at consecutive depths")
-    coherent = all(deeper.coarsened() == shallower
-                   for shallower, deeper in zip(family, family[1:]))
-    good = all(mu.is_good_invariant() for mu in family)
-    diag: Dict[Tuple[Slot, Slot], List[Fraction]] = {}
-    for mu in family:
-        for pair, mass in mu.diagonal_masses().items():
-            diag.setdefault(pair, []).append(mass)
-    noninc = all(all(a >= b for a, b in zip(seq, seq[1:])) for seq in diag.values())
-    return CompatibilityReport(coherent, good, diag, noninc)
+        holds = holds and not (lhs.support() & ~rhs.support()).any()
+    return ConstraintReport(holds, lhs.is_zero)

@@ -242,11 +242,6 @@ class AdmissibleWord:
         rights = sorted(set(itertools.permutations(self.marked_words())))
         return [(a, b) for a in lefts for b in rights]
 
-    def variant_count(self) -> int:
-        """p! q! / prod(m_s!), the number of distinct arrangements."""
-        p, q = self.degrees
-        return math.factorial(p) * math.factorial(q) // self._gram
-
     def append_all(self, bits: Sequence[int]) -> "AdmissibleWord":
         """Append one bit to each entry (entries taken in sorted order)."""
         if len(bits) != self.degree:

@@ -148,14 +148,6 @@ class AdmissibleWord:
         rights = sorted(set(itertools.permutations(self.marked_words())))
         return [(a, b) for a in lefts for b in rights]
 
-    def variant_count(self) -> int:
-        """p! q! / prod(m_s!), the number of distinct arrangements."""
-        p, q = self.degrees
-        denom = 1
-        for m in self.multiplicities().values():
-            denom *= math.factorial(m)
-        return math.factorial(p) * math.factorial(q) // denom
-
     def append_all(self, bits: Sequence[int]) -> "AdmissibleWord":
         """Append one bit to each entry (entries taken in sorted order)."""
         if len(bits) != len(self.entries):

@@ -96,15 +96,6 @@ class QSqrt2:
         # Complex conjugation; the value is real.
         return self
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(2.0)
 

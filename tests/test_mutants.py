@@ -55,6 +55,11 @@ def _first_child_coarsening(monkeypatch):
     monkeypatch.setattr(DepthMeasure, "coarsened", coarsened)
 
 
+def _constant_diagonals(monkeypatch):
+    # every diagonal carries the whole mass, so it cannot shrink with depth
+    monkeypatch.setattr(DepthMeasure, "diagonal_mass", lambda self, i, j: self.mass())
+
+
 def _step_reads_the_suffix(monkeypatch):
     # the last ``level`` bits of the word instead of its first ones
     def value_at(self, w):
@@ -132,6 +137,7 @@ MUTANTS = [
     (_bits_reversed, suites.fock_suites, "norm-split"),
     (_unit_binomials, suites.fock_suites, "embed-isometry"),
     (_unsigned_charges, suites.step_suites, "torus-equivariance"),
+    (_unsigned_charges, suites.fock_suites, "act-unitary"),
     (_weight_p_factorial_squared, suites.step_suites, "realization-isometry"),
     (_one_arrangement_dropped, suites.step_suites, "support-measure"),
     (_uncentered_norm, suites.density_suites, "remainder-rate"),
@@ -139,6 +145,7 @@ MUTANTS = [
     (_doubled_remainder, suites.density_suites, "power-expansion"),
     (_always_uniform, suites.spectral_suites, "constraint-grid"),
     (_first_child_coarsening, suites.spectral_suites, "compatibility"),
+    (_constant_diagonals, suites.spectral_suites, "compatibility"),
     (_step_reads_the_suffix, suites.coherence_suites, "embed-equivariance"),
     (_child_bit_in_front, suites.coherence_suites, "embed-step"),
     (_descendant_bits_in_front, suites.coherence_suites, "embed-gauss"),
@@ -146,8 +153,16 @@ MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize("mutate,suite,check", MUTANTS,
-                         ids=[m.__name__.lstrip("_") for m, _, _ in MUTANTS])
+def _mutant_ids(rows):
+    """Each row's mutant name; a mutant listed again also names its check."""
+    ids = []
+    for mutate, _, check in rows:
+        name = mutate.__name__.lstrip("_")
+        ids.append(f"{name}-{check}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("mutate,suite,check", MUTANTS, ids=_mutant_ids(MUTANTS))
 def test_mutant_fails_its_check(monkeypatch, mutate, suite, check):
     mutate(monkeypatch)
     reports = {r.check: r for r in suite(RunConfig())}

@@ -19,7 +19,6 @@ def test_qsqrt2_basics():
     r = QSqrt2(0, 1)
     assert r * r == 2
     assert (1 + r) * (1 - r) == -1
-    assert QSqrt2(Fraction(1, 2)).as_fraction() == Fraction(1, 2)
     assert float(QSqrt2(1, 1)) == pytest.approx(1 + math.sqrt(2))
     assert QSqrt2(3, -2).conjugate() == QSqrt2(3, -2)
 
@@ -103,6 +102,24 @@ def test_exact_float_mixing_rejected():
             0.5 - x
         with pytest.raises(TypeError):
             x - 0.5j
+
+
+def test_exact_parts_must_be_exact():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    for part in (0.1, 0.5, 1j, "1", "1/2", None):
+        with pytest.raises(TypeError):
+            ExactComplex(part)
+        with pytest.raises(TypeError):
+            ExactComplex(1, part)
+        with pytest.raises(TypeError):
+            QSqrt2(part)
+        with pytest.raises(TypeError):
+            QSqrt2(1, part)
+    with pytest.raises(TypeError):
+        ExactComplex(ExactComplex(0, 1))
+    assert ExactComplex(QSqrt2(1, 1), Fraction(1, 2)) == ExactComplex(
+        QSqrt2(1, 1), QSqrt2(Fraction(1, 2)))
+    assert QSqrt2(True, 2) == QSqrt2(1, 2)
 
 
 def test_backend_helpers():

@@ -153,35 +153,6 @@ def test_constraint_needs_a_checked_depth():
     assert not spectral.check_constraint([2], [index_pq(1, 0)], depth=1).holds
 
 
-def test_compatibility_report():
-    x = index_pq(2, 0)
-    family = [spectral.spectral_form(x, 1, d) for d in (1, 2, 3)]
-    rep = spectral.compatibility_report(family)
-    assert rep.passed and rep.coherent and rep.good_invariant
-    assert rep.diagonal_masses[((1, 0), (1, 1))] == [
-        Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
-    lopsided = DepthMeasure(x, 1, {(make_word("0"), make_word("1")): Fraction(1)})
-    assert not spectral.compatibility_report([lopsided]).passed
-    # coherent across two depths, yet not symmetric under swapping the slots
-    deeper = DepthMeasure(x, 2, {(make_word("01"), make_word("11")): Fraction(1)})
-    rep = spectral.compatibility_report([lopsided, deeper])
-    assert rep.coherent and not rep.good_invariant and not rep.passed
-
-
-def test_compatibility_needs_consecutive_depths():
-    x = index_pq(1, 0)
-    gap = [spectral.spectral_form(x, 1, 1),
-           spectral.spectral_form(x, 1, 3).scaled_mass(2)]
-    with pytest.raises(ValueError):
-        spectral.compatibility_report(gap)
-    with pytest.raises(ValueError):
-        spectral.compatibility_report(gap[::-1])
-    # the same masses at consecutive depths are caught as incoherent
-    rep = spectral.compatibility_report([spectral.spectral_form(x, 1, 1),
-                                         spectral.spectral_form(x, 1, 2).scaled_mass(2)])
-    assert not rep.coherent and not rep.passed
-
-
 def test_tensor_cap(monkeypatch):
     # 24 pairings x 4 cells x 4 cells = 384 ops: under the default cap, over
     # the lowered one, so the test fails unless tensor reads the constant
