@@ -21,25 +21,13 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .suites import COMMANDS, RunConfig, SuiteReport
+from .suites import COMMANDS, SUITES, RunConfig, SuiteReport
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_IO = 4
-
-_COMMAND_HELP = {
-    "verify-fock": "word combinatorics, norms, embeddings, and the torus action",
-    "verify-alpha": "the step-function realization on the product of trees",
-    "verify-beta": "the Gaussian polynomial realization and its moments",
-    "verify-coherence": "consistency of the realizations across levels",
-    "verify-density": "expansion remainders and their exact decay rates",
-    "verify-spectral": "grid measures, tensor products, and the constraint grid",
-    "simulate": "Monte Carlo cross-checks of exact moments",
-    "all": "every verification suite in sequence",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -78,13 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default %(default)s)")
     common.add_argument("--output", default=defaults.output, metavar="PATH",
                         help="write the report here instead of stdout")
-    for name in (*COMMANDS, "all"):
-        sub.add_parser(name, parents=[common], help=_COMMAND_HELP[name],
-                       description=_COMMAND_HELP[name])
+    for name, (_, help_line, _) in SUITES.items():
+        sub.add_parser(name, parents=[common], help=help_line, description=help_line)
+    everything = "every verification suite in sequence"
+    sub.add_parser("all", parents=[common], help=everything, description=everything)
     return parser
 
 
-def run_suites(cfg: RunConfig) -> tuple[List[SuiteReport], Dict[str, float]]:
+def run_commands(cfg: RunConfig) -> tuple[List[SuiteReport], Dict[str, float]]:
     """Run the configured commands, timing each one."""
     names = list(COMMANDS) if cfg.command == "all" else [cfg.command]
     suites: List[SuiteReport] = []
@@ -164,7 +153,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"treefock: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    suites, timings = run_suites(cfg)
+    suites, timings = run_commands(cfg)
     caps = [f["cap"] for s in suites for f in s.failures if "cap" in f]
     for cap in caps:
         print(f"treefock: {cap}", file=sys.stderr)

@@ -2,7 +2,7 @@
 catch it.
 
 Each mutant monkeypatches one function in ``treefock`` and runs only the
-suite that holds its check, at the default configuration.  The named check
+command that holds its check, at the default configuration.  The named check
 must fail on a counterexample, and no check may record an exception, since
 none of the mutants raises one: a check that fails only by crashing would
 show nothing about what it compares.  Unmutated, every check passes in
@@ -24,7 +24,7 @@ import tuple_words as tw
 from treefock import fock, gauss, montecarlo, spectral, steps, suites
 from treefock.spectral import DepthMeasure
 from treefock.steps import GridCell
-from treefock.suites import RunConfig
+from treefock.suites import COMMANDS, SUITES, RunConfig
 from treefock.words import AdmissibleWord, TorusStep
 
 
@@ -134,22 +134,23 @@ def _uncentered_norm(monkeypatch):
 
 
 MUTANTS = [
-    (_bits_reversed, suites.fock_suites, "norm-split"),
-    (_unit_binomials, suites.fock_suites, "embed-isometry"),
-    (_unsigned_charges, suites.step_suites, "torus-equivariance"),
-    (_unsigned_charges, suites.fock_suites, "act-unitary"),
-    (_weight_p_factorial_squared, suites.step_suites, "realization-isometry"),
-    (_one_arrangement_dropped, suites.step_suites, "support-measure"),
-    (_uncentered_norm, suites.density_suites, "remainder-rate"),
-    (_moment_plus_one, suites.density_suites, "remainder-rate"),
-    (_doubled_remainder, suites.density_suites, "power-expansion"),
-    (_always_uniform, suites.spectral_suites, "constraint-grid"),
-    (_first_child_coarsening, suites.spectral_suites, "compatibility"),
-    (_constant_diagonals, suites.spectral_suites, "compatibility"),
-    (_step_reads_the_suffix, suites.coherence_suites, "embed-equivariance"),
-    (_child_bit_in_front, suites.coherence_suites, "embed-step"),
-    (_descendant_bits_in_front, suites.coherence_suites, "embed-gauss"),
-    (_reversed_columns, suites.simulate_suites, "tree-residual"),
+    (_bits_reversed, "verify-fock", "norm-split"),
+    (_unit_binomials, "verify-fock", "embed-isometry"),
+    (_unsigned_charges, "verify-alpha", "torus-equivariance"),
+    (_unsigned_charges, "verify-fock", "act-unitary"),
+    (_unsigned_charges, "verify-beta", "torus-equivariance"),
+    (_weight_p_factorial_squared, "verify-alpha", "realization-isometry"),
+    (_one_arrangement_dropped, "verify-alpha", "support-measure"),
+    (_uncentered_norm, "verify-density", "remainder-rate"),
+    (_moment_plus_one, "verify-density", "remainder-rate"),
+    (_doubled_remainder, "verify-density", "power-expansion"),
+    (_always_uniform, "verify-spectral", "constraint-grid"),
+    (_first_child_coarsening, "verify-spectral", "compatibility"),
+    (_constant_diagonals, "verify-spectral", "compatibility"),
+    (_step_reads_the_suffix, "verify-coherence", "embed-equivariance"),
+    (_child_bit_in_front, "verify-coherence", "embed-step"),
+    (_descendant_bits_in_front, "verify-coherence", "embed-gauss"),
+    (_reversed_columns, "simulate", "tree-residual"),
 ]
 
 
@@ -162,12 +163,18 @@ def _mutant_ids(rows):
     return ids
 
 
-@pytest.mark.parametrize("mutate,suite,check", MUTANTS, ids=_mutant_ids(MUTANTS))
-def test_mutant_fails_its_check(monkeypatch, mutate, suite, check):
+@pytest.mark.parametrize("mutate,command,check", MUTANTS, ids=_mutant_ids(MUTANTS))
+def test_mutant_fails_its_check(monkeypatch, mutate, command, check):
     mutate(monkeypatch)
-    reports = {r.check: r for r in suite(RunConfig())}
+    reports = {r.check: r for r in COMMANDS[command](RunConfig())}
     assert reports[check].cases > 0
     assert not reports[check].passed
     crashed = [(r.check, f) for r in reports.values()
                for f in r.failures if "exception" in f]
     assert not crashed, crashed
+
+
+def test_every_mutant_names_a_check_in_the_table():
+    table = {(command, suites._label(suite, check)[0])
+             for command, (suite, _, checks) in SUITES.items() for check in checks}
+    assert [row for row in MUTANTS if row[1:] not in table] == []

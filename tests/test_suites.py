@@ -1,10 +1,16 @@
-"""Every verification suite runs clean at small caps on both backends."""
+"""Every verification suite runs clean at small caps on both backends, and
+the table of checks names what the pinned report records."""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from treefock import montecarlo, suites
-from treefock.suites import COMMANDS, RunConfig, SuiteReport
+from treefock.suites import COMMANDS, SUITES, RunConfig, SuiteReport
 from treefock.words import word_length
+
+PINNED_REPORT = Path(__file__).parent / "data" / "all-defaults.json"
 
 SMALL_SIMULATE = RunConfig(command="simulate", level_max=1, degree_max=2,
                            samples=2000)
@@ -19,6 +25,16 @@ def test_suite_passes_at_small_caps(command, backend):
     for report in COMMANDS[command](cfg):
         assert report.cases > 0, report.check
         assert report.passed, (report.check, report.failures[:3])
+
+
+def test_table_names_the_pinned_checks():
+    # suite, check name and statement of every check, in report order, read
+    # off the table without running one
+    table = [(suite, *suites._label(suite, check))
+             for suite, _, checks in SUITES.values() for check in checks]
+    pinned = json.loads(PINNED_REPORT.read_text())["suites"]
+    assert table == [(row["suite"], row["check"], row["statement"])
+                     for row in pinned]
 
 
 def test_report_records_failures():
@@ -65,7 +81,7 @@ def test_tree_residual_reads_the_estimator_columns(monkeypatch):
                 for w, c in cols.items()}
 
     monkeypatch.setattr(montecarlo, "_variable_columns", skewed)
-    reports = {r.check: r for r in suites.simulate_suites(SMALL_SIMULATE)}
+    reports = {r.check: r for r in COMMANDS["simulate"](SMALL_SIMULATE)}
     residual = reports["tree-residual"]
     assert residual.cases == 20 and not residual.passed
     assert float(residual.failures[0]["residual"]) > 1e-9
@@ -76,7 +92,7 @@ def test_composed_agreement_does_not_need_the_moment_targets(monkeypatch):
         raise RuntimeError("demonstration fault")
 
     monkeypatch.setattr(suites, "_moment_targets", broken)
-    reports = {r.check: r for r in suites.simulate_suites(SMALL_SIMULATE)}
+    reports = {r.check: r for r in COMMANDS["simulate"](SMALL_SIMULATE)}
     assert [c for c, r in reports.items() if not r.passed] == ["moment-agreement"]
     assert reports["composed-agreement"].cases == 6
     [fault] = reports["moment-agreement"].failures
