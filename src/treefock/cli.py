@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--depth-max", type=int, default=defaults.depth_max,
                         metavar="K",
                         help="deepest grid or sample refinement, 2..16 "
-                             "(default %(default)s)")
+                             "(default %(default)s); grids stop at depth 3 "
+                             "and samples at 6, so 6..16 run the same checks")
     common.add_argument("--samples", type=int, default=defaults.samples, metavar="S",
                         help="Monte Carlo sample count (default %(default)s)")
     common.add_argument("--seed", type=int, default=defaults.seed, metavar="SEED",
@@ -87,24 +88,6 @@ def run_commands(cfg: RunConfig) -> tuple[List[SuiteReport], Dict[str, float]]:
     return suites, timings
 
 
-def report_dict(cfg: RunConfig, suites: Sequence[SuiteReport],
-                timings: Dict[str, float]) -> dict:
-    failing = sum(1 for s in suites if not s.passed)
-    return {
-        "program": "treefock",
-        "version": __version__,
-        "config": cfg.to_json_dict(),
-        "suites": [s.to_json_dict() for s in suites],
-        "summary": {
-            "suites": len(suites),
-            "cases": sum(s.cases for s in suites),
-            "failing_suites": failing,
-            "passed": failing == 0,
-        },
-        "timings": timings,
-    }
-
-
 def render_text(cfg: RunConfig, suites: Sequence[SuiteReport],
                 timings: Dict[str, float]) -> str:
     lines = [f"treefock {cfg.command}  backend={cfg.backend} "
@@ -127,7 +110,21 @@ def render_text(cfg: RunConfig, suites: Sequence[SuiteReport],
 
 def render_json(cfg: RunConfig, suites: Sequence[SuiteReport],
                 timings: Dict[str, float]) -> str:
-    return json.dumps(report_dict(cfg, suites, timings), indent=2) + "\n"
+    failing = sum(1 for s in suites if not s.passed)
+    report = {
+        "program": "treefock",
+        "version": __version__,
+        "config": cfg.to_json_dict(),
+        "suites": [s.to_json_dict() for s in suites],
+        "summary": {
+            "suites": len(suites),
+            "cases": sum(s.cases for s in suites),
+            "failing_suites": failing,
+            "passed": failing == 0,
+        },
+        "timings": timings,
+    }
+    return json.dumps(report, indent=2) + "\n"
 
 
 def render_csv(cfg: RunConfig, suites: Sequence[SuiteReport],

@@ -55,10 +55,6 @@ class Combination:
     def __getitem__(self, key: Hashable) -> Scalar:
         return self.terms.get(key, 0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def backend(self) -> str:
         if self._backend is None:
             self._backend = scalars.backend_of_values(self.terms.values())

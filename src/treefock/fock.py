@@ -93,7 +93,7 @@ def embed(v: FockVector) -> FockVector:
         # (multiplicity, children) per distinct letter; children keep its order
         letters = [(word.codes.count(c), child(c, 0), child(c, 1))
                    for c in dict.fromkeys(word.codes)]
-        scale = coeff * scalars.inv_sqrt2_pow(word.degree, backend)
+        scale = coeff * scalars.sqrt2_pow(-word.degree, backend)
         for split in itertools.product(*(range(m + 1) for m, _, _ in letters)):
             weight = 1
             key: Tuple[int, ...] = ()
@@ -113,7 +113,7 @@ def embed_by_enumeration(v: FockVector) -> FockVector:
     backend = v.backend()
     out: Dict[AdmissibleWord, Scalar] = {}
     for word, coeff in v.terms.items():
-        scale = coeff * scalars.inv_sqrt2_pow(word.degree, backend)
+        scale = coeff * scalars.sqrt2_pow(-word.degree, backend)
         for bits in itertools.product((0, 1), repeat=word.degree):
             child = word.append_all(bits)
             out[child] = out.get(child, 0) + scale

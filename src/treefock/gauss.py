@@ -152,9 +152,6 @@ class GaussPoly(Combination):
     def variables(self) -> Tuple[Word, ...]:
         return tuple(sorted({w for m in self.terms for w in m.words()}))
 
-    def degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
     def __mul__(self, other: "GaussPoly") -> "GaussPoly":
         if not isinstance(other, GaussPoly):
             return NotImplemented
@@ -199,7 +196,7 @@ def refine(p: GaussPoly, level: int) -> GaussPoly:
         acc = GaussPoly.constant(coeff)
         for w, a, b in mono.exps:
             gap = level - word_length(w)
-            scale = scalars.inv_sqrt2_pow(gap, backend) if gap else 1
+            scale = scalars.sqrt2_pow(-gap, backend) if gap else 1
             z = GaussPoly({GaussMonomial.of({t: (1, 0)}): scale
                            for t in descendants(w, gap)})
             bar = z.conj() if b else z  # conjugated only when used

@@ -16,7 +16,7 @@ builds the real element a + b*sqrt2 from rational a, b; `QSqrt2` is the
 subclass of `ExactComplex` for the real subfield, ``c == d == 0``.
 
 The float backend uses the builtin ``complex``; the module-level helpers
-`one`, `sqrt2_pow` and `inv_sqrt2_pow` dispatch on a backend name, while
+`one` and `sqrt2_pow` dispatch on a backend name, while
 `eighth_root` is exact only and `phase` float only.  Exact and float scalars
 are deliberately not inter-operable: an `ExactComplex` mixed with a
 ``float`` or ``complex``, or built from a part that is not an int, a
@@ -316,11 +316,6 @@ def sqrt2_pow(exponent: int, backend: str = EXACT) -> Scalar:
     half, odd = divmod(exponent, 2)  # sqrt2**exponent == 2**half * sqrt2**odd
     num, den = (1 << half, 1) if half >= 0 else (1, 1 << -half)
     return _make(0, num, 0, 0, den) if odd else _make(num, 0, 0, 0, den)
-
-
-def inv_sqrt2_pow(exponent: int, backend: str = EXACT) -> Scalar:
-    """(1/sqrt2)**exponent; the normalization of a depth-`exponent` split."""
-    return sqrt2_pow(-exponent, backend)
 
 
 def eighth_root(k: int) -> ExactComplex:

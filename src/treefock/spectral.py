@@ -25,7 +25,7 @@ zero measure otherwise.  The semigroup operations are
     m_1*x_1 + ... + m_n*x_n
 
 and tests absolute continuity as support containment of cylinder weights at
-every depth up to the requested one.  For the uniform-or-zero measures that
+every depth up to ``CONSTRAINT_DEPTH``.  For the uniform-or-zero measures that
 arise here, support containment at each finite depth is exactly what is
 falsifiable.  The compatibility conditions (coherence across depths,
 good-permutation invariance, shrinking diagonals) are read off a measure by
@@ -39,7 +39,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +56,8 @@ Assignment = Tuple[Word, ...]
 DEFAULT_MAX_TENSOR_OPS = 2_000_000
 DEFAULT_MAX_PERMUTATIONS = 100_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# check_constraint compares its two sides at every depth from 1 to this one.
+CONSTRAINT_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,6 @@ class IndexFunction:
     def of(cls, mapping: Mapping[int, int]) -> "IndexFunction":
         return cls(tuple(mapping.items()))
 
-    def dom(self) -> Tuple[int, ...]:
-        return tuple(k for k, _ in self.items)
-
     def get(self, k: int) -> int:
         for kk, c in self.items:
             if kk == k:
@@ -99,7 +97,7 @@ class IndexFunction:
         return tuple((k, i) for k, c in self.items for i in range(c))
 
     def has_unit_domain(self) -> bool:
-        return set(self.dom()) <= {-1, 1}
+        return all(k in (-1, 1) for k, _ in self.items)
 
     def __add__(self, other: "IndexFunction") -> "IndexFunction":
         if not isinstance(other, IndexFunction):
@@ -227,12 +225,12 @@ class DepthMeasure:
         return cls._of(index, depth, np.zeros(shape, dtype=np.int64), 1)
 
     @property
-    def weights(self) -> Mapping[Assignment, Fraction]:
-        """Read-only view of the nonzero cells: assignment -> weight."""
+    def weights(self) -> Dict[Assignment, Fraction]:
+        """The nonzero cells, assignment -> weight, in a new dict."""
         words = all_words(self.depth)
-        return MappingProxyType({
+        return {
             tuple(words[i] for i in cell): Fraction(int(self.counts[cell]), self.den)
-            for cell in map(tuple, np.argwhere(self.counts).tolist())})
+            for cell in map(tuple, np.argwhere(self.counts).tolist())}
 
     @property
     def is_zero(self) -> bool:
@@ -356,7 +354,7 @@ class ConstraintReport:
     """Outcome of one convolution-constraint check.
 
     ``holds`` says that the left side's support lies in the right side's at
-    every depth from 1 to the requested one; ``lhs_zero`` that the left side
+    every depth up to ``CONSTRAINT_DEPTH``; ``lhs_zero`` that the left side
     vanishes at the deepest.  The containment reading of absolute continuity
     is the only one falsifiable from cylinder weights; for the
     uniform-or-zero measures compared here the two coincide.
@@ -367,21 +365,18 @@ class ConstraintReport:
 
 
 def check_constraint(coefficients: Sequence[int],
-                     indices: Sequence[IndexFunction],
-                     depth: int = 2) -> ConstraintReport:
+                     indices: Sequence[IndexFunction]) -> ConstraintReport:
     """Compare the relabeled tensor product against the combined spectral form
-    at every depth from 1 to ``depth``."""
+    at every depth up to ``CONSTRAINT_DEPTH``."""
     if len(coefficients) != len(indices) or not indices:
         raise ValueError("need matching nonempty coefficient and index lists")
     if any(m == 0 for m in coefficients):
         raise ValueError("coefficients must be nonzero")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     combined = indices[0].scaled(coefficients[0])
     for m, x in zip(coefficients[1:], indices[1:]):
         combined = combined + x.scaled(m)
     holds = True
-    for d in range(1, depth + 1):
+    for d in range(1, CONSTRAINT_DEPTH + 1):
         lhs = spectral_form(indices[0], 1, d).relabel(coefficients[0])
         for m, x in zip(coefficients[1:], indices[1:]):
             lhs = lhs.tensor(spectral_form(x, 1, d).relabel(m))

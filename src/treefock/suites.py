@@ -783,7 +783,7 @@ def spectral_constraint_grid(cfg, rng, r):
                 for m1 in coeffs for m2 in coeffs
                 for x1 in _CATALOG for x2 in _CATALOG])
     for ms, xs in cases:
-        report = spectral.check_constraint(ms, xs, depth=SMALL_DEPTH)
+        report = spectral.check_constraint(ms, xs)
         lhs_zero = any(not x.has_unit_domain() for x in xs)
         expected = lhs_zero or all(abs(m) == 1 for m in ms)
         r.case(report.holds is expected and report.lhs_zero is lhs_zero,
@@ -864,7 +864,7 @@ def _moment_polys() -> List[gauss.GaussPoly]:
 
 def _moment_targets() -> List[Tuple[gauss.GaussPoly, complex]]:
     """The sampling polynomials with their exact means."""
-    return [(p, complex(scalars.to_complex(gauss.moment(p)))) for p in _moment_polys()]
+    return [(p, complex(gauss.moment(p))) for p in _moment_polys()]
 
 
 def _tree_residuals(leaves: np.ndarray, depth: int) -> np.ndarray:
@@ -938,8 +938,7 @@ def simulate_composed_agreement(cfg, rng, r):
         via_poly = montecarlo.estimate(composed, 20_000, depth, seed=cfg.seed)
         scale = max(1.0, abs(via_poly.mean))
         ok = abs(direct.mean - via_poly.mean) <= 1e-8 * scale
-        ok = ok and direct.within(complex(scalars.to_complex(
-            gauss.moment(composed))), 4.0)
+        ok = ok and direct.within(complex(gauss.moment(composed)), 4.0)
         r.case(ok, poly=poly, direct=direct.mean, composed=via_poly.mean)
 
 

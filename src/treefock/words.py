@@ -263,11 +263,6 @@ class AdmissibleWord:
         return f"AdmissibleWord.parse({' '.join(str(s) for s in self.entries)!r})"
 
 
-def symbols_at(level: int) -> List[Symbol]:
-    """All symbols of the given level, in canonical sort order."""
-    return [Symbol(w, barred) for barred in (False, True) for w in all_words(level)]
-
-
 def enumerate_admissible(level: int, degree: int) -> Iterator[AdmissibleWord]:
     """Every admissible word of the given level and degree, canonically ordered.
 
@@ -277,7 +272,7 @@ def enumerate_admissible(level: int, degree: int) -> Iterator[AdmissibleWord]:
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    codes = [int(s) for s in symbols_at(level)]
+    codes = [*all_words(level), *(w | MARK for w in all_words(level))]
     candidates = math.comb(len(codes) + degree - 1, degree)
     if candidates > MAX_ENUMERATION:
         raise CapExceeded(

@@ -158,12 +158,6 @@ class AdmissibleWord:
         return "[" + " ".join(str(s) for s in self.entries) + "]"
 
 
-def symbols_at(level: int) -> List[Symbol]:
-    """All symbols of the given level, in canonical sort order."""
-    words = all_words(level)
-    return [Symbol(w, False) for w in words] + [Symbol(w, True) for w in words]
-
-
 def enumerate_admissible(level: int, degree: int,
                          max_enumeration: int = MAX_ENUMERATION) -> Iterator[AdmissibleWord]:
     """Every admissible word of the given level and degree, canonically ordered.
@@ -174,7 +168,8 @@ def enumerate_admissible(level: int, degree: int,
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    syms = symbols_at(level)
+    words = all_words(level)
+    syms = [Symbol(w, False) for w in words] + [Symbol(w, True) for w in words]
     candidates = math.comb(len(syms) + degree - 1, degree)
     if candidates > max_enumeration:
         raise CapExceeded(
@@ -194,7 +189,7 @@ def embed(terms: Mapping[AdmissibleWord, Scalar], backend: str) -> Dict[Admissib
     for word, coeff in terms.items():
         mults = word.symbol_multiplicities()
         syms = list(mults)
-        scale = coeff * scalars.inv_sqrt2_pow(word.degree, backend)
+        scale = coeff * scalars.sqrt2_pow(-word.degree, backend)
         for split in itertools.product(*(range(m + 1) for m in (mults[s] for s in syms))):
             weight = 1
             child_entries = []

@@ -51,7 +51,7 @@ def refine(p: GaussPoly, level: int, max_terms: int = DEFAULT_MAX_TERMS) -> Gaus
             else:
                 subst = subst_cache.get(w)
                 if subst is None:
-                    scale = scalars.inv_sqrt2_pow(gap, backend)
+                    scale = scalars.sqrt2_pow(-gap, backend)
                     subst = GaussPoly({GaussMonomial.of({code(from_code(w) + t): (1, 0)}):
                                        scale for t in all_words(gap)})
                     subst_cache[w] = subst

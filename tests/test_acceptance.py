@@ -222,7 +222,7 @@ def test_criterion_8_monte_carlo_cross_check():
     t0 = time.perf_counter()
     targets = _moment_targets()
     assert len(targets) == 20
-    assert all(p.degree() <= 6 for p, _ in targets)
+    assert all(m.degree <= 6 for p, _ in targets for m in p.terms)
     polys = [p for p, _ in targets]
     estimates = montecarlo.estimate_many(polys, 1_000_000, depth=4, seed=2028)
     hits = sum(est.within(exact, 3.0)
@@ -230,7 +230,7 @@ def test_criterion_8_monte_carlo_cross_check():
     rng = random.Random(2029)
     g = TorusStep.random_eighth_roots(2, rng)
     refined = [gauss.refine(p, max(2, p.max_word_length())) for p in polys]
-    composed_exact = [scalars.to_complex(gauss.moment(gauss.koopman(g, q)))
+    composed_exact = [complex(gauss.moment(gauss.koopman(g, q)))
                       for q in refined]
     acted = montecarlo.estimate_many(refined, 1_000_000, depth=4,
                                      seed=2028, step=g)

@@ -16,16 +16,18 @@ arithmetic; they spell the wrong word through ``tuple_words``.
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import tuple_words as tw
-from treefock import fock, gauss, montecarlo, spectral, steps, suites
+from treefock import fock, gauss, montecarlo, spectral, steps, suites, words
 from treefock.spectral import DepthMeasure
 from treefock.steps import GridCell
 from treefock.suites import COMMANDS, SUITES, RunConfig
-from treefock.words import AdmissibleWord, TorusStep
+from treefock.words import MARK, AdmissibleWord, TorusStep, all_words
 
 
 def _moment_plus_one(monkeypatch):
@@ -58,6 +60,38 @@ def _first_child_coarsening(monkeypatch):
 def _constant_diagonals(monkeypatch):
     # every diagonal carries the whole mass, so it cannot shrink with depth
     monkeypatch.setattr(DepthMeasure, "diagonal_mass", lambda self, i, j: self.mass())
+
+
+def _last_permutation_dropped(monkeypatch):
+    good_permutations = spectral.good_permutations
+    monkeypatch.setattr(spectral, "good_permutations",
+                        lambda x, max_count=spectral.DEFAULT_MAX_PERMUTATIONS:
+                        good_permutations(x, max_count)[:-1])
+
+
+def _relabel_by_abs(monkeypatch):
+    # a negative factor relabels as its absolute value
+    relabel = DepthMeasure.relabel
+    monkeypatch.setattr(DepthMeasure, "relabel", lambda self, m: relabel(self, abs(m)))
+
+
+def _every_multiset(monkeypatch):
+    # enumeration without the admissibility filter: a word may appear both
+    # marked and unmarked
+    admissible = words.enumerate_admissible
+
+    def enumerate_admissible(level, degree):
+        codes = [*all_words(level), *(w | MARK for w in all_words(level))]
+        for combo in itertools.combinations_with_replacement(codes, degree):
+            yield AdmissibleWord._trusted(combo)
+    monkeypatch.setattr(words, "enumerate_admissible", enumerate_admissible)
+    monkeypatch.setattr(suites, "enumerate_admissible", enumerate_admissible)
+    # The other checks keep the admissible basis, in a cache of its own: the
+    # shared one never holds a mutated word, and norm-split and
+    # embed-isometry would otherwise stop at the AdmissibleWord constructor.
+    monkeypatch.setattr(suites, "_basis", lru_cache(maxsize=None)(
+        lambda level, degree_max: tuple(w for l in range(1, degree_max + 1)
+                                        for w in admissible(level, l))))
 
 
 def _step_reads_the_suffix(monkeypatch):
@@ -93,6 +127,20 @@ def _reversed_columns(monkeypatch):
         cols = columns(leaves, depth, sorted(set(flip.values())))
         return {w: cols[flip[w]] for w in variables}
     monkeypatch.setattr(montecarlo, "_variable_columns", reversed_columns)
+
+
+def _seed_ignored(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_generator",
+                        lambda seed: np.random.Generator(np.random.Philox(key=0)))
+
+
+def _conjugated_phases(monkeypatch):
+    leaf_phases = montecarlo._leaf_phases
+
+    def conjugated(g, depth):
+        phases = leaf_phases(g, depth)
+        return None if phases is None else phases.conj()
+    monkeypatch.setattr(montecarlo, "_leaf_phases", conjugated)
 
 
 def _bits_reversed(monkeypatch):
@@ -151,7 +199,36 @@ MUTANTS = [
     (_child_bit_in_front, "verify-coherence", "embed-step"),
     (_descendant_bits_in_front, "verify-coherence", "embed-gauss"),
     (_reversed_columns, "simulate", "tree-residual"),
+    (_last_permutation_dropped, "verify-spectral", "good-permutations"),
+    (_relabel_by_abs, "verify-spectral", "relabeling"),
+    (_every_multiset, "verify-fock", "admissible-enumeration"),
+    (_seed_ignored, "simulate", "determinism"),
+    (_moment_plus_one, "verify-beta", "pairing-oracle"),
+    (_conjugated_phases, "simulate", "composed-agreement"),
 ]
+
+# The checks no row covers yet.  A new row deletes its check from this set,
+# so coverage can grow but cannot silently shrink.
+UNMUTATED = {
+    ("verify-fock", "symbol-conjugation"),
+    ("verify-fock", "variant-count"),
+    ("verify-fock", "norm-product"),
+    ("verify-fock", "embed-orthogonality"),
+    ("verify-alpha", "support-disjoint"),
+    ("verify-alpha", "realization-gram"),
+    ("verify-alpha", "multinomial-split"),
+    ("verify-alpha", "block-symmetry"),
+    ("verify-alpha", "point-separation"),
+    ("verify-beta", "realization-gram"),
+    ("verify-beta", "refine-moment"),
+    ("verify-beta", "koopman-unitary"),
+    ("verify-coherence", "cross-gram"),
+    ("verify-density", "disjoint-product"),
+    ("verify-spectral", "phase-action"),
+    ("verify-spectral", "tensor-product"),
+    ("verify-spectral", "spectral-table"),
+    ("simulate", "moment-agreement"),
+}
 
 
 def _mutant_ids(rows):
@@ -174,7 +251,16 @@ def test_mutant_fails_its_check(monkeypatch, mutate, command, check):
     assert not crashed, crashed
 
 
+def _table():
+    """Every (command, check) pair of ``SUITES``."""
+    return {(command, suites._label(suite, check)[0])
+            for command, (suite, _, checks) in SUITES.items() for check in checks}
+
+
 def test_every_mutant_names_a_check_in_the_table():
-    table = {(command, suites._label(suite, check)[0])
-             for command, (suite, _, checks) in SUITES.items() for check in checks}
+    table = _table()
     assert [row for row in MUTANTS if row[1:] not in table] == []
+
+
+def test_unmutated_checks_are_listed():
+    assert _table() - {row[1:] for row in MUTANTS} == UNMUTATED

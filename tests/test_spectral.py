@@ -14,7 +14,7 @@ from treefock.words import TorusStep, make_word
 
 def test_index_function_basics():
     x = IndexFunction.of({1: 2, -1: 1})
-    assert x.dom() == (-1, 1)
+    assert x.items == ((-1, 1), (1, 2))
     assert x.get(1) == 2 and x.get(5) == 0
     assert x.total() == 3
     assert x.slots() == ((-1, 0), (1, 0), (1, 1))
@@ -143,14 +143,6 @@ def test_constraint_input_validation():
         spectral.check_constraint([0], [index_pq(1, 0)])
     with pytest.raises(ValueError):
         spectral.check_constraint([1, 1], [index_pq(1, 0)])
-
-
-def test_constraint_needs_a_checked_depth():
-    # below depth 1 no depth is checked, so nothing could hold or fail
-    for depth in (0, -1):
-        with pytest.raises(ValueError):
-            spectral.check_constraint([2], [index_pq(1, 0)], depth=depth)
-    assert not spectral.check_constraint([2], [index_pq(1, 0)], depth=1).holds
 
 
 def test_tensor_cap(monkeypatch):
