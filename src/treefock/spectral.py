@@ -31,10 +31,16 @@ falsifiable.  The compatibility conditions (coherence across depths,
 good-permutation invariance, shrinking diagonals) are read off a measure by
 ``coarsened``, ``is_good_invariant`` and ``diagonal_masses``; the
 verification suite judges them.
+
+Spectral forms are built once per (x, j, depth) and good permutations once
+per index, in bounded caches, so a ``DepthMeasure`` that ``spectral_form``
+returns may be shared with other callers; measures are immutable.  Each
+call still checks the caps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,6 +64,13 @@ DEFAULT_MAX_PERMUTATIONS = 100_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # check_constraint compares its two sides at every depth from 1 to this one.
 CONSTRAINT_DEPTH = 2
+# Entries kept by each of the spectral-form and good-permutation caches.
+_CACHE_SIZE = 1024
+
+
+def _check_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +80,9 @@ class IndexFunction:
     items: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        for k, c in self.items:
+            _check_int("level", k)
+            _check_int("count", c)
         cleaned = tuple(sorted((k, c) for k, c in self.items if c))
         for k, c in cleaned:
             if k == 0:
@@ -82,6 +98,14 @@ class IndexFunction:
     @classmethod
     def of(cls, mapping: Mapping[int, int]) -> "IndexFunction":
         return cls(tuple(mapping.items()))
+
+    @classmethod
+    def _trusted(cls, items: Tuple[Tuple[int, int], ...]) -> "IndexFunction":
+        """The index function of sorted items already known to be valid,
+        unchecked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "items", items)
+        return out
 
     def get(self, k: int) -> int:
         for kk, c in self.items:
@@ -105,13 +129,18 @@ class IndexFunction:
         merged: Dict[int, int] = dict(self.items)
         for k, c in other.items:
             merged[k] = merged.get(k, 0) + c
-        return IndexFunction.of(merged)
+        # sums of positive counts are positive
+        return IndexFunction._trusted(tuple(sorted(merged.items())))
 
     def scaled(self, m: int) -> "IndexFunction":
         """Relabel level k as m*k."""
+        _check_int("scale factor", m)
         if m == 0:
             raise ValueError("scale factor must be nonzero")
-        return IndexFunction.of({m * k: c for k, c in self.items})
+        # for a nonzero int m the levels m*k stay nonzero and distinct, in
+        # reversed order when m < 0
+        items = tuple((m * k, c) for k, c in self.items)
+        return IndexFunction._trusted(items if m > 0 else items[::-1])
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{k}:{c}" for k, c in self.items) + "}"
@@ -129,21 +158,32 @@ def index_pq(p: int, q: int) -> IndexFunction:
     return IndexFunction.of(out)
 
 
+def _permutation_count(x: IndexFunction) -> int:
+    """prod x(k)!, the number of good permutations of x."""
+    return math.prod(math.factorial(c) for _, c in x.items)
+
+
 def good_permutations(x: IndexFunction,
                       max_count: int = DEFAULT_MAX_PERMUTATIONS) -> List[Tuple[int, ...]]:
     """Permutations of D(x) fixing the level coordinate.
 
     Returned as position maps over ``x.slots()``: entry j holds the source
     position of the slot that lands in position j.  There are prod x(k)! of
-    them.
+    them.  The list is new on every call; the permutations are built once
+    per (x, max_count).
     """
-    count = math.prod(math.factorial(c) for _, c in x.items)
+    return list(_good_permutations(x, max_count))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _good_permutations(x: IndexFunction, max_count: int) -> Tuple[Tuple[int, ...], ...]:
+    count = _permutation_count(x)
     if count > max_count:
         raise CapExceeded(f"{count} good permutations exceed the cap {max_count}")
     starts = itertools.accumulate((c for _, c in x.items), initial=0)
     blocks = [list(itertools.permutations(range(start, start + c)))
               for start, (_, c) in zip(starts, x.items)]
-    return [sum(combo, ()) for combo in itertools.product(*blocks)]
+    return tuple(sum(combo, ()) for combo in itertools.product(*blocks))
 
 
 def _grid_shape(index: IndexFunction, depth: int) -> Tuple[int, ...]:
@@ -174,6 +214,10 @@ class DepthMeasure:
     Limits, each raising ``CapExceeded`` before any array is allocated: a
     measure has at most ``DEFAULT_MAX_TENSOR_OPS`` cells, and its counts sum
     to at most the int64 maximum, so no sum over cells can overflow.
+
+    Instances are immutable: ``counts`` is read-only and no method assigns
+    an attribute, so one measure may be shared, as ``spectral_form``'s
+    are.
     """
 
     __slots__ = ("index", "depth", "counts", "den")
@@ -207,17 +251,26 @@ class DepthMeasure:
             den: int) -> "DepthMeasure":
         """The measure counts/den, brought to normal form."""
         g = math.gcd(int(np.gcd.reduce(counts, axis=None)), den)
+        if g > 1:
+            counts, den = counts // g, den // g
+        return cls._normal(index, depth, counts, den)
+
+    @classmethod
+    def _normal(cls, index: IndexFunction, depth: int, counts: np.ndarray,
+                den: int) -> "DepthMeasure":
+        """The measure counts/den, already in normal form, unchecked."""
         out = object.__new__(cls)
-        out.index, out.depth, out.den = index, depth, den // g
-        out.counts = counts // g if g > 1 else counts
-        out.counts.flags.writeable = False
+        out.index, out.depth, out.counts, out.den = index, depth, counts, den
+        counts.flags.writeable = False
         return out
 
     @classmethod
     def uniform(cls, index: IndexFunction, depth: int) -> "DepthMeasure":
         """The full product measure at the given depth, total mass one."""
         shape = _grid_shape(index, depth)
-        return cls._of(index, depth, np.ones(shape, dtype=np.int64), math.prod(shape))
+        # all-ones counts over their number have gcd 1
+        return cls._normal(index, depth, np.ones(shape, dtype=np.int64),
+                           math.prod(shape))
 
     @classmethod
     def zero(cls, index: IndexFunction, depth: int) -> "DepthMeasure":
@@ -261,7 +314,9 @@ class DepthMeasure:
 
     def permuted(self, perm: Tuple[int, ...]) -> "DepthMeasure":
         """Pushforward under the coordinate permutation (a position map)."""
-        return self._of(self.index, self.depth, self.counts.transpose(perm), self.den)
+        # a transpose of a normal measure is normal
+        return self._normal(self.index, self.depth, self.counts.transpose(perm),
+                            self.den)
 
     def is_good_invariant(self) -> bool:
         return all(self.permuted(perm) == self
@@ -289,8 +344,8 @@ class DepthMeasure:
         """Pushforward matching ``index.scaled(m)``: slot (k, i) -> (m*k, i)."""
         moved = [(m * k, i) for k, i in self.index.slots()]
         order = sorted(range(len(moved)), key=moved.__getitem__)
-        return self._of(self.index.scaled(m), self.depth, self.counts.transpose(order),
-                        self.den)
+        return self._normal(self.index.scaled(m), self.depth,
+                            self.counts.transpose(order), self.den)
 
     def tensor(self, other: "DepthMeasure") -> "DepthMeasure":
         """Sum over slot pairings of the pushed-forward product measure.
@@ -303,7 +358,7 @@ class DepthMeasure:
         if other.depth != self.depth:
             raise ValueError("tensor product needs equal depths")
         target = self.index + other.index
-        pairings = pairing_count(self.index, other.index)
+        pairings = _permutation_count(target)
         ops = (pairings * max(1, np.count_nonzero(self.counts))
                * max(1, np.count_nonzero(other.counts)))
         if ops > DEFAULT_MAX_TENSOR_OPS:
@@ -316,7 +371,7 @@ class DepthMeasure:
         layout = np.multiply.outer(self.counts, other.counts).transpose(
             sorted(range(len(keys)), key=keys.__getitem__))
         out = np.zeros(shape, dtype=np.int64)
-        for perm in good_permutations(target, DEFAULT_MAX_TENSOR_OPS):
+        for perm in _good_permutations(target, DEFAULT_MAX_TENSOR_OPS):
             out += layout.transpose(perm)
         return self._of(target, self.depth, out, self.den * other.den)
 
@@ -327,7 +382,7 @@ class DepthMeasure:
 
 def pairing_count(x: IndexFunction, y: IndexFunction) -> int:
     """prod (x(k)+y(k))!, the number of good permutations of x + y."""
-    return math.prod(math.factorial(c) for _, c in (x + y).items)
+    return _permutation_count(x + y)
 
 
 def phase_at(x: IndexFunction, step: TorusStep, assignment: Assignment) -> Scalar:
@@ -342,8 +397,16 @@ def spectral_form(x: IndexFunction, j: int = 1, depth: int = 1) -> DepthMeasure:
     """The maximal spectral type at multiplicity index j, truncated at depth.
 
     Full product measure over the slot grid when dom(x) is within {-1, 1}
-    and j == 1; the zero measure otherwise.
+    and j == 1; the zero measure otherwise.  The measure is built once per
+    (x, j, depth) and shared between callers; the cell cap is checked on
+    every call.
     """
+    _grid_shape(x, depth)
+    return _spectral_form(x, j, depth)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _spectral_form(x: IndexFunction, j: int, depth: int) -> DepthMeasure:
     if j == 1 and x.has_unit_domain():
         return DepthMeasure.uniform(x, depth)
     return DepthMeasure.zero(x, depth)
@@ -370,6 +433,8 @@ def check_constraint(coefficients: Sequence[int],
     at every depth up to ``CONSTRAINT_DEPTH``."""
     if len(coefficients) != len(indices) or not indices:
         raise ValueError("need matching nonempty coefficient and index lists")
+    for m in coefficients:
+        _check_int("coefficient", m)
     if any(m == 0 for m in coefficients):
         raise ValueError("coefficients must be nonzero")
     combined = indices[0].scaled(coefficients[0])

@@ -9,6 +9,10 @@ show nothing about what it compares.  Unmutated, every check passes in
 ``test_suites.test_suite_passes_at_small_caps`` and, at the defaults, in the
 pinned report ``tests/data/all-defaults.csv`` that CI compares.
 
+The spectral caches are emptied before and after each mutant, so that a
+measure or permutation built by unmutated code never hides a mutant, and
+none built by a mutant outlives it.
+
 The word mutants misplace bits in the functions that hold the word
 arithmetic; they spell the wrong word through ``tuple_words``.
 """
@@ -67,6 +71,20 @@ def _last_permutation_dropped(monkeypatch):
     monkeypatch.setattr(spectral, "good_permutations",
                         lambda x, max_count=spectral.DEFAULT_MAX_PERMUTATIONS:
                         good_permutations(x, max_count)[:-1])
+
+
+def _last_pairing_dropped(monkeypatch):
+    # the permutations tensor sums over lose their last entry
+    good_permutations = spectral._good_permutations
+    monkeypatch.setattr(spectral, "_good_permutations",
+                        lambda x, max_count: good_permutations(x, max_count)[:-1])
+
+
+def _multiplicity_ignored(monkeypatch):
+    # a unit-domain x gets the uniform measure at every j
+    spectral_form = spectral.spectral_form
+    monkeypatch.setattr(spectral, "spectral_form", lambda x, j=1, depth=1: spectral_form(
+        x, 1 if x.has_unit_domain() else j, depth))
 
 
 def _relabel_by_abs(monkeypatch):
@@ -201,6 +219,8 @@ MUTANTS = [
     (_reversed_columns, "simulate", "tree-residual"),
     (_last_permutation_dropped, "verify-spectral", "good-permutations"),
     (_relabel_by_abs, "verify-spectral", "relabeling"),
+    (_last_pairing_dropped, "verify-spectral", "tensor-product"),
+    (_multiplicity_ignored, "verify-spectral", "spectral-table"),
     (_every_multiset, "verify-fock", "admissible-enumeration"),
     (_seed_ignored, "simulate", "determinism"),
     (_moment_plus_one, "verify-beta", "pairing-oracle"),
@@ -225,8 +245,6 @@ UNMUTATED = {
     ("verify-coherence", "cross-gram"),
     ("verify-density", "disjoint-product"),
     ("verify-spectral", "phase-action"),
-    ("verify-spectral", "tensor-product"),
-    ("verify-spectral", "spectral-table"),
     ("simulate", "moment-agreement"),
 }
 
@@ -240,8 +258,21 @@ def _mutant_ids(rows):
     return ids
 
 
+SPECTRAL_CACHES = (spectral._spectral_form, spectral._good_permutations)
+
+
+@pytest.fixture
+def fresh_spectral_caches():
+    for cache in SPECTRAL_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in SPECTRAL_CACHES:
+        cache.cache_clear()
+
+
 @pytest.mark.parametrize("mutate,command,check", MUTANTS, ids=_mutant_ids(MUTANTS))
-def test_mutant_fails_its_check(monkeypatch, mutate, command, check):
+def test_mutant_fails_its_check(fresh_spectral_caches, monkeypatch, mutate, command,
+                                check):
     mutate(monkeypatch)
     reports = {r.check: r for r in COMMANDS[command](RunConfig())}
     assert reports[check].cases > 0

@@ -25,6 +25,13 @@ def test_index_function_basics():
         IndexFunction.of({0: 1})
     with pytest.raises(ValueError):
         IndexFunction.of({})
+    # levels, counts and scale factors are ints, and a bool is not one
+    for bad in ({1: 2.5}, {1.0: 1}, {0.5: 1}, {1: True}, {1: 0.0}):
+        with pytest.raises(TypeError):
+            IndexFunction.of(bad)
+    for m in (2.0, 1.5, True):
+        with pytest.raises(TypeError):
+            x.scaled(m)
 
 
 def test_index_arithmetic():
@@ -143,6 +150,9 @@ def test_constraint_input_validation():
         spectral.check_constraint([0], [index_pq(1, 0)])
     with pytest.raises(ValueError):
         spectral.check_constraint([1, 1], [index_pq(1, 0)])
+    for m in (1.5, 1.0, True):
+        with pytest.raises(TypeError):
+            spectral.check_constraint([m], [index_pq(1, 0)])
 
 
 def test_tensor_cap(monkeypatch):
@@ -176,6 +186,17 @@ def test_every_measure_respects_the_cell_cap(monkeypatch):
         DepthMeasure.zero(x, 2)
     with pytest.raises(CapExceeded):
         z.tensor(z)
+
+
+def test_spectral_form_cache_keeps_the_cell_cap(monkeypatch):
+    # 2 slots at depth 2 is 16 cells: the cached measure is shared, and a
+    # lowered cap still refuses it on the next identical call
+    x = index_pq(2, 0)
+    mu = spectral.spectral_form(x, 1, 2)
+    assert spectral.spectral_form(x, 1, 2) is mu
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 15)
+    with pytest.raises(CapExceeded):
+        spectral.spectral_form(x, 1, 2)
 
 
 def test_tensor_ops_cap_counts_nonzero_cells(monkeypatch):

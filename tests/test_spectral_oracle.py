@@ -6,8 +6,10 @@ the mass, the support, good-permutation invariance and the diagonal masses
 of every result.
 """
 
+import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,11 +17,14 @@ from hypothesis import strategies as st
 
 import dict_measure as oracle
 import tuple_words as tw
+from treefock import spectral
 from treefock.spectral import DepthMeasure, IndexFunction
 from treefock.words import all_words
 
 LEVELS = (-2, -1, 1, 2)
 
+index_maps = st.dictionaries(st.integers(-6, 6).filter(bool), st.integers(1, 3),
+                             min_size=1, max_size=4)
 weight = st.one_of(st.just(0), st.fractions(min_value=0, max_value=4,
                                             max_denominator=8))
 
@@ -85,3 +90,35 @@ def test_relabel_permute_coarsen_agree(data):
     assert_agree(mu.permuted(perm), mu_old.permuted(perm))
     assert_agree(mu.coarsened(), mu_old.coarsened())
     assert (mu.permuted(perm) == mu) is (mu_old.permuted(perm) == mu_old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_maps, index_maps, st.integers(-3, 3).filter(bool))
+def test_index_arithmetic_agrees_with_the_constructor(a, b, m):
+    # sums and relabelings skip validation: they must still give the
+    # validated result
+    x, y = IndexFunction.of(a), IndexFunction.of(b)
+    assert x + y == IndexFunction.of(Counter(a) + Counter(b))
+    assert x.scaled(m) == IndexFunction.of({m * k: c for k, c in a.items()})
+    # the permutations are built once; the list a caller gets is its own
+    perms = spectral.good_permutations(x)
+    expected = list(perms)
+    perms.clear()
+    assert spectral.good_permutations(x) == expected
+    assert len(expected) == math.prod(map(math.factorial, a.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_uniform_and_spectral_forms_agree(data):
+    depth = data.draw(st.integers(0, 2))
+    x = data.draw(index_functions(3))
+    j = data.draw(st.integers(1, 3))
+    slots = x.total()
+    cells = itertools.product(tw.all_words(depth), repeat=slots)
+    uniform = oracle.DepthMeasure(x, depth, dict.fromkeys(
+        cells, Fraction(1, 2 ** (depth * slots))))
+    assert_agree(DepthMeasure.uniform(x, depth), uniform)
+    unit = j == 1 and {k for k, _ in x.items} <= {-1, 1}
+    expected = uniform if unit else oracle.DepthMeasure(x, depth, {})
+    assert_agree(spectral.spectral_form(x, j, depth), expected)
