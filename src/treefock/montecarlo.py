@@ -21,13 +21,22 @@ Each block reads its variables off the leaves, builds the powers of every
 variable and of its conjugate once, then each distinct factor
 z^a conj(z)^b once, and forms every monomial as its coefficient times the
 product of its factors.
+
+While the calling thread evaluates one block, one producer thread draws the
+next, one block ahead; a call whose samples fit in one block starts no
+thread.  The generator is touched by one thread at a time, in stream order,
+and every block is evaluated by the same arithmetic in the same order, so
+the estimates are bit-identical to drawing and evaluating each block in
+turn, and the promises above still hold.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,6 +140,62 @@ def _factor_values(cols: Dict[Word, np.ndarray],
     return table
 
 
+class _DrawAhead:
+    """Blocks 0, 1, ..., count - 1 of ``draw``, in order, each one drawn while
+    the caller evaluates the one before.
+
+    Block 0 is drawn inline.  If there are more, one producer thread draws
+    them in order from then on, so one thread at a time calls ``draw``, in
+    stream order.  ``draw(k)`` may reuse the storage of block k - 2, so the
+    producer starts block k + 1 only once the caller has released block
+    k - 1.  An exception the producer meets is raised by ``take``; ``close``
+    stops the producer and joins it.
+    """
+
+    def __init__(self, draw: Callable[[int], np.ndarray], count: int) -> None:
+        self._draw = draw
+        self._count = count
+        self._drawn = deque([draw(0)])
+        self._ready = threading.Semaphore(1)  # blocks drawn and not yet taken
+        self._free = threading.Semaphore(1)   # storage the producer may fill
+        self._error: Optional[BaseException] = None
+        self._stop = False
+        self._thread = None
+        if count > 1:
+            self._thread = threading.Thread(target=self._produce, daemon=True)
+            self._thread.start()
+
+    def _produce(self) -> None:
+        try:
+            for k in range(1, self._count):
+                self._free.acquire()
+                if self._stop:
+                    return
+                self._drawn.append(self._draw(k))
+                self._ready.release()
+        except BaseException as exc:  # re-raised in the caller by take()
+            self._error = exc
+            self._ready.release()
+
+    def take(self) -> np.ndarray:
+        """The next block, once it is drawn."""
+        self._ready.acquire()
+        if not self._drawn:
+            raise self._error
+        return self._drawn.popleft()
+
+    def release(self) -> None:
+        """Let the producer reuse the storage of the block before the one
+        last taken."""
+        self._free.release()
+
+    def close(self) -> None:
+        self._stop = True
+        self._free.release()
+        if self._thread is not None:
+            self._thread.join()
+
+
 @dataclass
 class Estimate:
     mean: complex
@@ -169,9 +234,20 @@ def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
         return []
     factors, plans = _plan(polys)
     gen = _generator(seed)
-    block = np.empty((min(_BLOCK, samples), 2 ** depth), dtype=complex)
-    vals = np.empty(len(block), dtype=complex)
-    scratch = np.empty(len(block), dtype=complex)
+    count = -(-samples // _BLOCK)
+    size = min(_BLOCK, samples)
+    buffers = [np.empty((size, 2 ** depth), dtype=complex) for _ in range(min(count, 2))]
+
+    def draw(k: int) -> np.ndarray:
+        # block k's leaves, phases applied, in the buffer of block k - 2
+        leaves = buffers[k % 2][:min(size, samples - k * size)]
+        _draw_leaves(gen, leaves)
+        if phases is not None:
+            leaves *= phases
+        return leaves
+
+    vals = np.empty(size, dtype=complex)
+    scratch = np.empty(size, dtype=complex)
     sums = [0.0 + 0.0j for _ in polys]
     # running (mean, M2) over the samples seen so far, merged block by block
     # with the pairwise update of Chan, Golub and LeVeque (1983).  M2 is the
@@ -180,34 +256,36 @@ def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
     means = [0.0 + 0.0j for _ in polys]
     m2s = [0.0 for _ in polys]
     seen = 0
-    while seen < samples:
-        n = min(len(block), samples - seen)
-        leaves = block[:n]
-        _draw_leaves(gen, leaves)
-        if phases is not None:
-            leaves *= phases
-        table = _factor_values(_variable_columns(leaves, depth, variables), factors)
-        v, tmp = vals[:n], scratch[:n]
-        for i, plan in enumerate(plans):
-            v.fill(0)
-            for c, idx in plan:
-                if not idx:
-                    v += c
-                    continue
-                np.multiply(table[idx[0]], c, out=tmp)
-                for j in idx[1:]:
-                    np.multiply(tmp, table[j], out=tmp)
-                v += tmp
-            # numpy's pairwise summation keeps the block totals stable
-            total = complex(v.sum())
-            sums[i] += total
-            b_mean = total / n
-            np.subtract(v, b_mean, out=tmp)
-            b_m2 = float(np.square(np.abs(tmp)).sum())
-            delta = b_mean - means[i]
-            means[i] += delta * (n / (seen + n))
-            m2s[i] += b_m2 + abs(delta) ** 2 * (seen * n / (seen + n))
-        seen += n
+    blocks = _DrawAhead(draw, count)
+    try:
+        for _ in range(count):
+            leaves = blocks.take()
+            n = len(leaves)
+            table = _factor_values(_variable_columns(leaves, depth, variables), factors)
+            v, tmp = vals[:n], scratch[:n]
+            for i, plan in enumerate(plans):
+                v.fill(0)
+                for c, idx in plan:
+                    if not idx:
+                        v += c
+                        continue
+                    np.multiply(table[idx[0]], c, out=tmp)
+                    for j in idx[1:]:
+                        np.multiply(tmp, table[j], out=tmp)
+                    v += tmp
+                # numpy's pairwise summation keeps the block totals stable
+                total = complex(v.sum())
+                sums[i] += total
+                b_mean = total / n
+                np.subtract(v, b_mean, out=tmp)
+                b_m2 = float(np.square(np.abs(tmp)).sum())
+                delta = b_mean - means[i]
+                means[i] += delta * (n / (seen + n))
+                m2s[i] += b_m2 + abs(delta) ** 2 * (seen * n / (seen + n))
+            seen += n
+            blocks.release()
+    finally:
+        blocks.close()
     out = []
     for i in range(len(polys)):
         var = m2s[i] / max(samples - 1, 1)

@@ -342,6 +342,10 @@ class DepthMeasure:
 
     def relabel(self, m: int) -> "DepthMeasure":
         """Pushforward matching ``index.scaled(m)``: slot (k, i) -> (m*k, i)."""
+        _check_int("scale factor", m)
+        if m == 1:
+            # measures are immutable, and relabeling by 1 moves no slot
+            return self
         moved = [(m * k, i) for k, i in self.index.slots()]
         order = sorted(range(len(moved)), key=moved.__getitem__)
         return self._normal(self.index.scaled(m), self.depth,

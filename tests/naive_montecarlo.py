@@ -14,6 +14,12 @@ every monomial afresh for every polynomial: a coefficient-filled array times
 samples.  ``estimate_many`` below is that loop, unchanged apart from drawing
 each batch through the package's sample-major ``_draw_leaves``, so that both
 evaluators read the same stream.  Tests check the block evaluator against it.
+
+Before ``treefock.montecarlo`` drew the next block on a producer thread,
+``estimate_many`` drew each block and only then evaluated it, in one thread.
+``serial_estimate_many`` below is that loop, unchanged.  It does the same
+arithmetic on the same stream, so tests require the threaded estimates to
+equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ import numpy as np
 
 from treefock.errors import CapExceeded
 from treefock.gauss import GaussPoly
-from treefock.montecarlo import (MAX_SAMPLE_DEPTH, Estimate, _draw_leaves, _generator,
-                                 _leaf_phases, _variable_columns)
-from treefock.words import TorusStep, Word
+from treefock.montecarlo import (_BLOCK, MAX_SAMPLE_DEPTH, Estimate, _draw_leaves,
+                                 _factor_values, _generator, _leaf_phases, _plan,
+                                 _variable_columns)
+from treefock.words import TorusStep, Word, word_length
 from tuple_words import all_words, code, from_code
 
 _BATCH = 1 << 14
@@ -100,6 +107,63 @@ def estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
             m2s[i] += b_m2 + abs(delta) ** 2 * (seen * batch / (seen + batch))
         seen += batch
         remaining -= batch
+    out = []
+    for i in range(len(polys)):
+        var = m2s[i] / max(samples - 1, 1)
+        out.append(Estimate(sums[i] / samples, math.sqrt(var / samples), samples))
+    return out
+
+
+def serial_estimate_many(polys: Sequence[GaussPoly], samples: int, depth: int,
+                         seed: int = 0, step: Optional[TorusStep] = None) -> list:
+    """Estimates for several polynomials, each block drawn and then
+    evaluated in the calling thread."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if depth < 0 or depth > MAX_SAMPLE_DEPTH:
+        raise CapExceeded(f"sample depth outside 0..{MAX_SAMPLE_DEPTH}")
+    variables = sorted({w for p in polys for w in p.variables()})
+    if any(word_length(w) > depth for w in variables):
+        raise ValueError("variable deeper than the sampled depth")
+    phases = _leaf_phases(step, depth)
+    if not polys:
+        return []
+    factors, plans = _plan(polys)
+    gen = _generator(seed)
+    block = np.empty((min(_BLOCK, samples), 2 ** depth), dtype=complex)
+    vals = np.empty(len(block), dtype=complex)
+    scratch = np.empty(len(block), dtype=complex)
+    sums = [0.0 + 0.0j for _ in polys]
+    means = [0.0 + 0.0j for _ in polys]
+    m2s = [0.0 for _ in polys]
+    seen = 0
+    while seen < samples:
+        n = min(len(block), samples - seen)
+        leaves = block[:n]
+        _draw_leaves(gen, leaves)
+        if phases is not None:
+            leaves *= phases
+        table = _factor_values(_variable_columns(leaves, depth, variables), factors)
+        v, tmp = vals[:n], scratch[:n]
+        for i, plan in enumerate(plans):
+            v.fill(0)
+            for c, idx in plan:
+                if not idx:
+                    v += c
+                    continue
+                np.multiply(table[idx[0]], c, out=tmp)
+                for j in idx[1:]:
+                    np.multiply(tmp, table[j], out=tmp)
+                v += tmp
+            total = complex(v.sum())
+            sums[i] += total
+            b_mean = total / n
+            np.subtract(v, b_mean, out=tmp)
+            b_m2 = float(np.square(np.abs(tmp)).sum())
+            delta = b_mean - means[i]
+            means[i] += delta * (n / (seen + n))
+            m2s[i] += b_m2 + abs(delta) ** 2 * (seen * n / (seen + n))
+        seen += n
     out = []
     for i in range(len(polys)):
         var = m2s[i] / max(samples - 1, 1)

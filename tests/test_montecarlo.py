@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -137,3 +139,94 @@ def test_estimate_many_of_nothing_validates_and_draws_nothing(monkeypatch):
     with pytest.raises(ValueError):
         montecarlo.estimate_many([], 100, depth=1, seed=0,
                                  step=TorusStep.from_eighth_root_indices([0, 1, 2, 3]))
+
+
+def _mixed_targets():
+    w0, w1, w01 = make_word("0"), make_word("1"), make_word("01")
+    return [z(w0) * z(w1).conj(), z(w01) * z(w01) * z(w0).conj() + GaussPoly.constant(2)]
+
+
+def test_a_raised_draw_surfaces_and_leaves_no_thread(monkeypatch):
+    class DrawFailed(Exception):
+        pass
+
+    error = DrawFailed("second block")
+    draw = montecarlo._draw_leaves
+    drawn = []
+
+    def fail_on_second_block(gen, leaves):
+        drawn.append(len(leaves))
+        if len(drawn) == 2:
+            raise error
+        draw(gen, leaves)
+
+    monkeypatch.setattr(montecarlo, "_draw_leaves", fail_on_second_block)
+    before = threading.active_count()
+    with pytest.raises(DrawFailed) as info:
+        montecarlo.estimate_many(_mixed_targets(), 5 * montecarlo._BLOCK, depth=2, seed=3)
+    assert info.value is error
+    assert len(drawn) == 2
+    assert threading.active_count() == before
+
+
+def test_a_raise_in_the_caller_stops_the_producer(monkeypatch):
+    class EvaluationFailed(Exception):
+        pass
+
+    def fail(cols, factors):
+        raise EvaluationFailed
+
+    draw = montecarlo._draw_leaves
+    drawn = []
+
+    def count(gen, leaves):
+        drawn.append(len(leaves))
+        draw(gen, leaves)
+
+    monkeypatch.setattr(montecarlo, "_factor_values", fail)
+    monkeypatch.setattr(montecarlo, "_draw_leaves", count)
+    before = threading.active_count()
+    with pytest.raises(EvaluationFailed):
+        montecarlo.estimate_many(_mixed_targets(), 10 * montecarlo._BLOCK, depth=2, seed=3)
+    # block 0 inline, at most block 1 ahead of the failed evaluation
+    assert 1 <= len(drawn) <= 2
+    assert threading.active_count() == before
+
+
+def test_one_block_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread for one block")
+
+    polys = _mixed_targets()
+    block = montecarlo._BLOCK
+    want = {n: oracle.serial_estimate_many(polys, n, 3, seed=8) for n in (1, 7, block)}
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    for n, estimates in want.items():
+        assert montecarlo.estimate_many(polys, n, depth=3, seed=8) == estimates
+    with pytest.raises(AssertionError, match="one block"):
+        montecarlo.estimate_many(polys, block + 1, depth=3, seed=8)
+
+
+def test_concurrent_callers_keep_their_streams():
+    # more callers than cores, each with its own producer, switching often
+    polys = _mixed_targets()
+    samples = 3 * montecarlo._BLOCK - 1
+    seeds = range(6)
+    want = {s: oracle.serial_estimate_many(polys, samples, 3, seed=s) for s in seeds}
+    got = {}
+
+    def call(s):
+        got[s] = montecarlo.estimate_many(polys, samples, depth=3, seed=s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(s,)) for s in seeds]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want

@@ -10,6 +10,12 @@ monomials shared between polynomials, are estimated by both over several
 blocks plus a remainder, with and without a torus step; means and standard
 errors must agree to rounding.  Reordering the polynomials must not change
 any estimate by a single bit.
+
+The estimator draws the next block on a producer thread while it evaluates
+the current one.  Over depths 0..5, with and without a step, at sample
+counts of one sample, one block, one block plus one and one short of three
+blocks, every mean and standard error must equal the serial draw-then-
+evaluate loop's bit for bit.
 """
 
 import math
@@ -29,9 +35,10 @@ REL = 1e-12
 
 
 @st.composite
-def polynomial_lists(draw):
-    """1..4 polynomials whose monomials come from one shared pool."""
-    variables = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4,
+def polynomial_lists(draw, words=WORDS):
+    """1..4 polynomials in the given words whose monomials come from one
+    shared pool."""
+    variables = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4,
                               unique=True))
     exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
     pool = draw(st.lists(
@@ -80,6 +87,26 @@ def test_block_evaluator_agrees_with_per_monomial_oracle(data):
     for k, i in enumerate(order):
         assert moved[k].mean == new[i].mean
         assert moved[k].std_error == new[i].std_error
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_draw_ahead_is_bit_identical_to_the_serial_loop(data):
+    depth = data.draw(st.integers(0, 5))
+    words = [w for length in range(depth + 1) for w in all_words(length)]
+    polys = data.draw(polynomial_lists(words))
+    step = None
+    if data.draw(st.booleans()):
+        rng = random.Random(data.draw(st.integers(0, 99)))
+        step = TorusStep.random_eighth_roots(data.draw(st.integers(0, depth)), rng)
+    block = montecarlo._BLOCK
+    samples = data.draw(st.sampled_from([1, block, block + 1, 3 * block - 1]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    new = montecarlo.estimate_many(polys, samples, depth, seed=seed, step=step)
+    old = oracle.serial_estimate_many(polys, samples, depth, seed=seed, step=step)
+    assert [(e.mean, e.std_error, e.samples) for e in new] == \
+        [(e.mean, e.std_error, e.samples) for e in old]
 
 
 @settings(max_examples=40, deadline=None)

@@ -93,6 +93,12 @@ def test_relabel():
     mu = DepthMeasure.uniform(x, 2)
     assert mu.relabel(1) == mu
     flipped = mu.relabel(-1)
+    # relabeling by 1 is the measure itself, as flipping twice is
+    assert mu.relabel(1) is mu
+    assert mu.relabel(1) == flipped.relabel(-1)
+    for m in (1.0, True):
+        with pytest.raises(TypeError):
+            mu.relabel(m)
     assert flipped.index == index_pq(1, 2)
     assert flipped.mass() == 1
     doubled = mu.relabel(2)
