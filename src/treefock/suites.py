@@ -33,7 +33,7 @@ import numpy as np
 from . import fock, gauss, montecarlo, scalars, spectral, steps
 from .combination import Combination
 from .errors import CapExceeded
-from .scalars import EXACT
+from .scalars import EXACT, Scalar
 from .spectral import DepthMeasure, IndexFunction, index_pq
 from .steps import GridCell
 from .words import (AdmissibleWord, Symbol, TorusStep, all_words, child,
@@ -272,17 +272,18 @@ def fock_norm_split(cfg, rng, r):
     for level in range(1, cfg.level_max + 1):
         for w in _basis(level, cfg.degree_max):
             parent_norm = fock.norm2(fock.basic(w, cfg.backend))
-            total = fock.FockVector(level + 1, {})
+            total: Dict[AdmissibleWord, Scalar] = {}
             ok = True
             for bits in itertools.product((0, 1), repeat=w.degree):
                 child = w.append_all(bits)
                 split: Dict[Tuple[int, int], int] = {}
                 for key in zip(w.codes, bits):
                     split[key] = split.get(key, 0) + 1
-                expected = math.prod(math.factorial(k) for k in split.values())
+                expected = math.prod(map(math.factorial, split.values()))
                 ok = ok and fock.norm2(fock.basic(child, cfg.backend)) == expected
-                total = total + fock.basic(child, cfg.backend)
-            ok = ok and _close(cfg, fock.norm2(total), 2 ** w.degree * parent_norm)
+                total[child] = total.get(child, 0) + scalars.one(cfg.backend)
+            total_norm = fock.norm2(fock.FockVector(level + 1, total))
+            ok = ok and _close(cfg, total_norm, 2 ** w.degree * parent_norm)
             r.case(ok, word=w)
 
 
@@ -442,12 +443,13 @@ def alpha_point_separation(cfg, rng, r):
                     if set(left) & set(right):
                         continue
                     cells.append(GridCell(level, left, right))
-            for c1, c2 in itertools.combinations(cells, 2):
+            for i, c1 in enumerate(cells):
                 w = AdmissibleWord([Symbol(t, False) for t in c1.left]
                                    + [Symbol(t, True) for t in c1.right])
                 support = set(steps.support_cells(w))
-                r.case(c1 in support and c2 not in support,
-                       first=c1, second=c2, word=w)
+                for c2 in cells[i + 1:]:
+                    r.case(c1 in support and c2 not in support,
+                           first=c1, second=c2, word=w)
 
 
 # ------------------------------------------------------------ gaussian side

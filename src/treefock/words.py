@@ -238,15 +238,20 @@ class AdmissibleWord:
 
     def variants(self) -> List[Tuple[Tuple[Word, ...], Tuple[Word, ...]]]:
         """All distinct ordered arrangements (unmarked block, marked block)."""
-        lefts = sorted(set(itertools.permutations(self.unmarked_words())))
-        rights = sorted(set(itertools.permutations(self.marked_words())))
+        # permutations of a sorted block first meet its orderings in sorted order
+        lefts = list(dict.fromkeys(itertools.permutations(self.unmarked_words())))
+        rights = list(dict.fromkeys(itertools.permutations(self.marked_words())))
         return [(a, b) for a in lefts for b in rights]
 
     def append_all(self, bits: Sequence[int]) -> "AdmissibleWord":
-        """Append one bit to each entry (entries taken in sorted order)."""
-        if len(bits) != self.degree:
-            raise ValueError("need one bit per entry")
-        return AdmissibleWord(s.append(b) for s, b in zip(self.entries, bits))
+        """Append one bit to each entry (entries taken in sorted order).  The
+        children share a length, keep their marks and differ where the entries
+        do, so they are admissible: one check of bits and length covers all."""
+        if len(bits) != self.degree or not {*bits} <= {0, 1}:
+            raise ValueError("need one bit, 0 or 1, per entry")
+        if self.level + 1 > MAX_WORD_LENGTH:
+            raise CapExceeded(f"word longer than {MAX_WORD_LENGTH}")
+        return AdmissibleWord._trusted(tuple(sorted(map(child, self.codes, bits))))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not AdmissibleWord:

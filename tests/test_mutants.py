@@ -192,6 +192,26 @@ def _one_arrangement_dropped(monkeypatch):
                         lambda word: support_cells(word)[:-1] or support_cells(word))
 
 
+def _variants_not_deduplicated(monkeypatch):
+    # every permutation of each block, repeats and all
+    monkeypatch.setattr(AdmissibleWord, "variants", lambda self: [
+        (a, b) for a in itertools.permutations(self.unmarked_words())
+        for b in itertools.permutations(self.marked_words())])
+
+
+def _swapped_blocks_in_support(monkeypatch):
+    # a (p, p) support also covers each cell with its two blocks swapped
+    support_cells = steps.support_cells
+
+    def with_swapped(word):
+        cells = support_cells(word)
+        p, q = word.degrees
+        if p != q:
+            return cells
+        return cells + [GridCell._trusted(c.depth, c.right, c.left) for c in cells]
+    monkeypatch.setattr(steps, "support_cells", with_swapped)
+
+
 def _uncentered_norm(monkeypatch):
     def remainder_rate(k, m, depth):
         r = gauss.expansion_remainder(k, m, depth)
@@ -225,20 +245,20 @@ MUTANTS = [
     (_seed_ignored, "simulate", "determinism"),
     (_moment_plus_one, "verify-beta", "pairing-oracle"),
     (_conjugated_phases, "simulate", "composed-agreement"),
+    (_variants_not_deduplicated, "verify-fock", "variant-count"),
+    (_swapped_blocks_in_support, "verify-alpha", "point-separation"),
 ]
 
 # The checks no row covers yet.  A new row deletes its check from this set,
 # so coverage can grow but cannot silently shrink.
 UNMUTATED = {
     ("verify-fock", "symbol-conjugation"),
-    ("verify-fock", "variant-count"),
     ("verify-fock", "norm-product"),
     ("verify-fock", "embed-orthogonality"),
     ("verify-alpha", "support-disjoint"),
     ("verify-alpha", "realization-gram"),
     ("verify-alpha", "multinomial-split"),
     ("verify-alpha", "block-symmetry"),
-    ("verify-alpha", "point-separation"),
     ("verify-beta", "realization-gram"),
     ("verify-beta", "refine-moment"),
     ("verify-beta", "koopman-unitary"),

@@ -12,9 +12,9 @@ from treefock.errors import CapExceeded
 from treefock.gauss import GaussMonomial, GaussPoly
 from treefock.spectral import DepthMeasure, index_pq
 from treefock.steps import GridCell
-from treefock.words import (AdmissibleWord, Symbol, TorusStep, all_words, descendants,
-                            enumerate_admissible, make_word, prefix,
-                            word_index, word_length, word_text)
+from treefock.words import (MAX_WORD_LENGTH, AdmissibleWord, Symbol, TorusStep,
+                            all_words, descendants, enumerate_admissible,
+                            make_word, prefix, word_index, word_length, word_text)
 
 bits = st.text(alphabet="01", max_size=6)
 
@@ -185,6 +185,17 @@ def test_append_all():
     child = w.append_all([0, 1, 0])
     assert child.level == 2
     assert str(child) == "[00 01 10*]"
+
+
+def test_append_all_errors():
+    w = AdmissibleWord.parse("0 0 1*")
+    with pytest.raises(ValueError):
+        w.append_all([0, 1])
+    with pytest.raises(ValueError):
+        w.append_all([0, 2, 0])
+    longest = AdmissibleWord.parse("0" * MAX_WORD_LENGTH + " " + "1" * MAX_WORD_LENGTH + "*")
+    with pytest.raises(CapExceeded):
+        longest.append_all([0, 1])
 
 
 def test_torus_step_exact_values():
