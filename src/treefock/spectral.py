@@ -17,7 +17,8 @@ zero measure otherwise.  The semigroup operations are
 * ``x.scaled(m)``  -- relabel level k as m*k,
 * ``mu.relabel(m)``-- the matching pushforward of a measure,
 * ``mu.tensor(nu)``-- sum of the product pushforward over the slot pairings,
-                      the prod (x(k)+y(k))! good permutations of x + y.
+                      the prod (x(k)+y(k))! good permutations of x + y,
+                      taken one swap coset at a time.
 
 ``check_constraint`` builds both sides of the constraint
 
@@ -32,10 +33,12 @@ good-permutation invariance, shrinking diagonals) are read off a measure by
 ``coarsened``, ``is_good_invariant`` and ``diagonal_masses``; the
 verification suite judges them.
 
-Spectral forms are built once per (x, j, depth) and good permutations once
-per index, in bounded caches, so a ``DepthMeasure`` that ``spectral_form``
-returns may be shared with other callers; measures are immutable.  Each
-call still checks the caps.
+Bounded caches build each of these once: spectral forms per (x, j, depth),
+the relabeled forms ``check_constraint`` tensors per (x, m, depth), good
+permutations per index, and the layout order and swap stages of ``tensor``
+per pair of indices.  So a ``DepthMeasure`` that ``spectral_form`` returns
+may be shared with other callers; measures are immutable.  Each call still
+checks the caps.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ DEFAULT_MAX_PERMUTATIONS = 100_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # check_constraint compares its two sides at every depth from 1 to this one.
 CONSTRAINT_DEPTH = 2
-# Entries kept by each of the spectral-form and good-permutation caches.
+# Entries kept by each of the bounded caches below.
 _CACHE_SIZE = 1024
 
 
@@ -358,6 +361,16 @@ class DepthMeasure:
         level over the (x(k)+y(k)) target copies.  The product is laid out
         with the x-slots on the first copies of each level; the pairings are
         then its transposes by the good permutations of x + y.
+
+        The sum over those prod c_k! permutations, c = x + y, is taken as a
+        coset sum.  The good permutations of copies 0..j of one level are
+        those of copies 0..j-1, each followed by exactly one of the swaps
+        (i j), i <= j, the swap (j j) being the identity.  So adding the
+        swapped transposes of a sum over the smaller group gives the sum over
+        the larger one, and stage by stage, level by level, the whole sum
+        costs sum_k c_k(c_k-1)/2 transposed additions.  The counts are exact
+        int64 and every partial sum is at most the total checked below, so
+        the result does not depend on the order of the additions.
         """
         if other.depth != self.depth:
             raise ValueError("tensor product needs equal depths")
@@ -368,20 +381,37 @@ class DepthMeasure:
         if ops > DEFAULT_MAX_TENSOR_OPS:
             raise CapExceeded(f"tensor product size {ops} exceeds the cap "
                               f"{DEFAULT_MAX_TENSOR_OPS}")
-        shape = _grid_shape(target, self.depth)
+        _grid_shape(target, self.depth)
         _check_int64(pairings * int(self.counts.sum()) * int(other.counts.sum()))
-        keys = list(self.index.slots()) + [(k, self.index.get(k) + i)
-                                           for k, i in other.index.slots()]
-        layout = np.multiply.outer(self.counts, other.counts).transpose(
-            sorted(range(len(keys)), key=keys.__getitem__))
-        out = np.zeros(shape, dtype=np.int64)
-        for perm in _good_permutations(target, DEFAULT_MAX_TENSOR_OPS):
-            out += layout.transpose(perm)
+        order, stages = _tensor_plan(self.index, other.index)
+        out = np.ascontiguousarray(
+            np.multiply.outer(self.counts, other.counts).transpose(order))
+        for swaps in stages:
+            summed = out.copy()
+            for i, j in swaps:
+                summed += out.swapaxes(i, j)
+            out = summed
         return self._of(target, self.depth, out, self.den * other.den)
 
     def __repr__(self) -> str:
         return (f"DepthMeasure(index={self.index}, depth={self.depth}, "
                 f"cells={np.count_nonzero(self.counts)}, mass={self.mass()})")
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _tensor_plan(x: IndexFunction, y: IndexFunction
+                 ) -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...]]:
+    """How ``tensor`` lays out and symmetrizes the product of measures on x
+    and y: the axis order that puts the x-slots on the first copies of each
+    level of x + y, and one stage per copy j > 0 of each level, listing the
+    axis swaps (i j) for the copies i < j of that level."""
+    keys = list(x.slots()) + [(k, x.get(k) + i) for k, i in y.slots()]
+    order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
+    counts = [c for _, c in (x + y).items]
+    starts = itertools.accumulate(counts, initial=0)
+    stages = tuple(tuple((start + i, start + j) for i in range(j))
+                   for start, c in zip(starts, counts) for j in range(1, c))
+    return order, stages
 
 
 def pairing_count(x: IndexFunction, y: IndexFunction) -> int:
@@ -416,6 +446,18 @@ def _spectral_form(x: IndexFunction, j: int, depth: int) -> DepthMeasure:
     return DepthMeasure.zero(x, depth)
 
 
+def _constraint_factor(x: IndexFunction, m: int, depth: int) -> DepthMeasure:
+    """``spectral_form(x, 1, depth).relabel(m)``, built once per (x, m, depth)
+    and shared; the cell cap is checked on every call."""
+    _grid_shape(x, depth)
+    return _relabeled_form(x, m, depth)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _relabeled_form(x: IndexFunction, m: int, depth: int) -> DepthMeasure:
+    return spectral_form(x, 1, depth).relabel(m)
+
+
 @dataclass(frozen=True)
 class ConstraintReport:
     """Outcome of one convolution-constraint check.
@@ -446,9 +488,9 @@ def check_constraint(coefficients: Sequence[int],
         combined = combined + x.scaled(m)
     holds = True
     for d in range(1, CONSTRAINT_DEPTH + 1):
-        lhs = spectral_form(indices[0], 1, d).relabel(coefficients[0])
+        lhs = _constraint_factor(indices[0], coefficients[0], d)
         for m, x in zip(coefficients[1:], indices[1:]):
-            lhs = lhs.tensor(spectral_form(x, 1, d).relabel(m))
+            lhs = lhs.tensor(_constraint_factor(x, m, d))
         rhs = spectral_form(combined, 1, d)
         holds = holds and not (lhs.support() & ~rhs.support()).any()
     return ConstraintReport(holds, lhs.is_zero)

@@ -10,8 +10,8 @@ show nothing about what it compares.  Unmutated, every check passes in
 pinned report ``tests/data/all-defaults.csv`` that CI compares.
 
 The spectral caches are emptied before and after each mutant, so that a
-measure or permutation built by unmutated code never hides a mutant, and
-none built by a mutant outlives it.
+measure, permutation or tensor plan built by unmutated code never hides a
+mutant, and none built by a mutant outlives it.
 
 The word mutants misplace bits in the functions that hold the word
 arithmetic; they spell the wrong word through ``tuple_words``.
@@ -74,10 +74,15 @@ def _last_permutation_dropped(monkeypatch):
 
 
 def _last_pairing_dropped(monkeypatch):
-    # the permutations tensor sums over lose their last entry
-    good_permutations = spectral._good_permutations
-    monkeypatch.setattr(spectral, "_good_permutations",
-                        lambda x, max_count: good_permutations(x, max_count)[:-1])
+    # the last stage of tensor's coset sum loses its last swap
+    tensor_plan = spectral._tensor_plan
+
+    def dropped(x, y):
+        order, stages = tensor_plan(x, y)
+        if stages:
+            stages = stages[:-1] + (stages[-1][:-1],)
+        return order, stages
+    monkeypatch.setattr(spectral, "_tensor_plan", dropped)
 
 
 def _multiplicity_ignored(monkeypatch):
@@ -278,7 +283,16 @@ def _mutant_ids(rows):
     return ids
 
 
-SPECTRAL_CACHES = (spectral._spectral_form, spectral._good_permutations)
+SPECTRAL_CACHES = (spectral._spectral_form, spectral._good_permutations,
+                   spectral._relabeled_form, spectral._tensor_plan)
+
+
+def test_spectral_caches_are_all_listed():
+    # a bounded cache missing here would carry entries from one mutant row
+    # into the next
+    cached = {id(value) for value in vars(spectral).values()
+              if hasattr(value, "cache_clear")}
+    assert cached == set(map(id, SPECTRAL_CACHES))
 
 
 @pytest.fixture

@@ -205,6 +205,17 @@ def test_spectral_form_cache_keeps_the_cell_cap(monkeypatch):
         spectral.spectral_form(x, 1, 2)
 
 
+def test_constraint_factor_cache_keeps_the_cell_cap(monkeypatch):
+    # the relabeled factor of {1:1, -1:1} at depth 2 has 16 cells: once it is
+    # cached, a lowered cap still refuses it before its tensor product with
+    # the zero form of {2:1} is sized
+    xs = [index_pq(1, 1), IndexFunction.of({2: 1})]
+    assert spectral.check_constraint([-1, 1], xs) == spectral.ConstraintReport(True, True)
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_TENSOR_OPS", 15)
+    with pytest.raises(CapExceeded, match="16 cells exceed the cap 15"):
+        spectral.check_constraint([-1, 1], xs)
+
+
 def test_tensor_ops_cap_counts_nonzero_cells(monkeypatch):
     x = index_pq(1, 0)
     mu = DepthMeasure.uniform(x, 1)
