@@ -35,8 +35,8 @@ verification suite judges them.
 
 Bounded caches build each of these once: spectral forms per (x, j, depth),
 the relabeled forms ``check_constraint`` tensors per (x, m, depth), good
-permutations per index, and the layout order and swap stages of ``tensor``
-per pair of indices.  So a ``DepthMeasure`` that ``spectral_form`` returns
+permutations per index, and the target, pairing count, layout order and
+level blocks of ``tensor`` per pair of indices.  So a ``DepthMeasure`` that ``spectral_form`` returns
 may be shared with other callers; measures are immutable.  Each call still
 checks the caps.
 """
@@ -193,10 +193,11 @@ def _grid_shape(index: IndexFunction, depth: int) -> Tuple[int, ...]:
     """One axis of 2**depth words per slot; raises before a grid over the cap."""
     if depth < 0 or depth > MAX_WORD_LENGTH:
         raise ValueError("depth out of range")
-    cells = (2 ** depth) ** index.total()
+    slots = index.total()
+    cells = (2 ** depth) ** slots
     if cells > DEFAULT_MAX_TENSOR_OPS:
         raise CapExceeded(f"{cells} cells exceed the cap {DEFAULT_MAX_TENSOR_OPS}")
-    return (2 ** depth,) * index.total()
+    return (2 ** depth,) * slots
 
 
 def _check_int64(total: int) -> None:
@@ -367,15 +368,14 @@ class DepthMeasure:
         those of copies 0..j-1, each followed by exactly one of the swaps
         (i j), i <= j, the swap (j j) being the identity.  So adding the
         swapped transposes of a sum over the smaller group gives the sum over
-        the larger one, and stage by stage, level by level, the whole sum
-        costs sum_k c_k(c_k-1)/2 transposed additions.  The counts are exact
-        int64 and every partial sum is at most the total checked below, so
-        the result does not depend on the order of the additions.
+        the larger one: one stage per copy j > 0, level by level, and the
+        whole sum costs sum_k c_k(c_k-1)/2 transposed additions.  The counts
+        are exact int64 and every partial sum is at most the total checked
+        below, so the result does not depend on the order of the additions.
         """
         if other.depth != self.depth:
             raise ValueError("tensor product needs equal depths")
-        target = self.index + other.index
-        pairings = _permutation_count(target)
+        target, pairings, order, blocks = _tensor_plan(self.index, other.index)
         ops = (pairings * max(1, np.count_nonzero(self.counts))
                * max(1, np.count_nonzero(other.counts)))
         if ops > DEFAULT_MAX_TENSOR_OPS:
@@ -383,15 +383,15 @@ class DepthMeasure:
                               f"{DEFAULT_MAX_TENSOR_OPS}")
         _grid_shape(target, self.depth)
         _check_int64(pairings * int(self.counts.sum()) * int(other.counts.sum()))
-        order, stages = _tensor_plan(self.index, other.index)
-        out = np.ascontiguousarray(
-            np.multiply.outer(self.counts, other.counts).transpose(order))
-        for swaps in stages:
-            summed = out.copy()
-            for i, j in swaps:
-                summed += out.swapaxes(i, j)
-            out = summed
-        return self._of(target, self.depth, out, self.den * other.den)
+        out = np.multiply.outer(self.counts, other.counts).transpose(order)
+        for start, stop in blocks:
+            for j in range(start + 1, stop):
+                summed = out + out.swapaxes(start, j)
+                for i in range(start + 1, j):
+                    summed += out.swapaxes(i, j)
+                out = summed
+        return self._of(target, self.depth, np.ascontiguousarray(out),
+                        self.den * other.den)
 
     def __repr__(self) -> str:
         return (f"DepthMeasure(index={self.index}, depth={self.depth}, "
@@ -400,18 +400,21 @@ class DepthMeasure:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _tensor_plan(x: IndexFunction, y: IndexFunction
-                 ) -> Tuple[Tuple[int, ...], Tuple[Tuple[Tuple[int, int], ...], ...]]:
+                 ) -> Tuple[IndexFunction, int, Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
     """How ``tensor`` lays out and symmetrizes the product of measures on x
-    and y: the axis order that puts the x-slots on the first copies of each
-    level of x + y, and one stage per copy j > 0 of each level, listing the
-    axis swaps (i j) for the copies i < j of that level."""
+    and y: the target x + y, its number of good permutations, the axis order
+    that puts the x-slots on the first copies of each level, and the axes
+    [start, stop) of each level with more than one copy.  Nothing here
+    grows faster than the slots, so ``tensor`` may build it before checking
+    its caps."""
+    target = x + y
     keys = list(x.slots()) + [(k, x.get(k) + i) for k, i in y.slots()]
     order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
-    counts = [c for _, c in (x + y).items]
-    starts = itertools.accumulate(counts, initial=0)
-    stages = tuple(tuple((start + i, start + j) for i in range(j))
-                   for start, c in zip(starts, counts) for j in range(1, c))
-    return order, stages
+    counts = [c for _, c in target.items]
+    starts = list(itertools.accumulate(counts, initial=0))
+    blocks = tuple((start, stop) for start, stop in zip(starts, starts[1:])
+                   if stop - start > 1)
+    return target, _permutation_count(target), order, blocks
 
 
 def pairing_count(x: IndexFunction, y: IndexFunction) -> int:
@@ -483,14 +486,12 @@ def check_constraint(coefficients: Sequence[int],
         _check_int("coefficient", m)
     if any(m == 0 for m in coefficients):
         raise ValueError("coefficients must be nonzero")
-    combined = indices[0].scaled(coefficients[0])
-    for m, x in zip(coefficients[1:], indices[1:]):
-        combined = combined + x.scaled(m)
     holds = True
     for d in range(1, CONSTRAINT_DEPTH + 1):
         lhs = _constraint_factor(indices[0], coefficients[0], d)
         for m, x in zip(coefficients[1:], indices[1:]):
             lhs = lhs.tensor(_constraint_factor(x, m, d))
-        rhs = spectral_form(combined, 1, d)
-        holds = holds and not (lhs.support() & ~rhs.support()).any()
+        # the left side lives on the sum of the relabeled indices
+        rhs = spectral_form(lhs.index, 1, d)
+        holds = holds and not lhs.counts[rhs.counts == 0].any()
     return ConstraintReport(holds, lhs.is_zero)

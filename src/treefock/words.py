@@ -192,14 +192,15 @@ class AdmissibleWord:
         """The word of sorted codes already known to be admissible, unchecked."""
         out = object.__new__(cls)
         p = bisect.bisect_left(codes, MARK)
-        _set_codes(out, codes)
-        _set_hash(out, hash(codes))
-        _set_level(out, (codes[0] & WORD_PART).bit_length() - 1)
-        _set_degree(out, len(codes))
-        _set_degrees(out, (p, len(codes) - p))
+        put = object.__setattr__
+        put(out, "codes", codes)
+        put(out, "_hash", hash(codes))
+        put(out, "level", (codes[0] & WORD_PART).bit_length() - 1)
+        put(out, "degree", len(codes))
+        put(out, "degrees", (p, len(codes) - p))
         distinct = set(codes)
-        _set_gram(out, 1 if len(distinct) == len(codes) else
-                  math.prod(map(math.factorial, map(codes.count, distinct))))
+        put(out, "_gram", 1 if len(distinct) == len(codes) else
+            math.prod(map(math.factorial, map(codes.count, distinct))))
         return out
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -265,16 +266,6 @@ class AdmissibleWord:
 
     def __repr__(self) -> str:
         return f"AdmissibleWord.parse({' '.join(str(s) for s in self.entries)!r})"
-
-
-# The slots' own setters, bound once: ``_trusted`` fills a new word through
-# them, past the immutability ``__setattr__`` and without a lookup by name.
-_set_codes = AdmissibleWord.codes.__set__
-_set_hash = AdmissibleWord._hash.__set__
-_set_level = AdmissibleWord.level.__set__
-_set_degree = AdmissibleWord.degree.__set__
-_set_degrees = AdmissibleWord.degrees.__set__
-_set_gram = AdmissibleWord._gram.__set__
 
 
 def enumerate_admissible(level: int, degree: int) -> Iterator[AdmissibleWord]:

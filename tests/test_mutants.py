@@ -74,14 +74,16 @@ def _last_permutation_dropped(monkeypatch):
 
 
 def _last_pairing_dropped(monkeypatch):
-    # the last stage of tensor's coset sum loses its last swap
+    # tensor's coset sum skips the last stage, the swaps with the last copy
+    # of the last level that has more than one
     tensor_plan = spectral._tensor_plan
 
     def dropped(x, y):
-        order, stages = tensor_plan(x, y)
-        if stages:
-            stages = stages[:-1] + (stages[-1][:-1],)
-        return order, stages
+        target, pairings, order, blocks = tensor_plan(x, y)
+        if blocks:
+            start, stop = blocks[-1]
+            blocks = blocks[:-1] + ((start, stop - 1),)
+        return target, pairings, order, blocks
     monkeypatch.setattr(spectral, "_tensor_plan", dropped)
 
 
